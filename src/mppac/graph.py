@@ -102,7 +102,9 @@ def mec_decomposition(graph) -> list[MecRecord]:
 
     Standard fixed point: restrict to actions staying inside the candidate
     set, split along SCCs of the restricted graph, repeat until every
-    candidate is one SCC in which every state keeps an action.
+    candidate is one SCC in which every state keeps an action. Pairs are
+    bucketed by source state once, so a candidate costs time linear in its
+    own states' pairs rather than in the whole graph.
     """
     post = {(s, a): frozenset(ts) for (s, a), ts in graph.items()}
     all_states = {s for s, _ in post}
@@ -110,26 +112,21 @@ def mec_decomposition(graph) -> list[MecRecord]:
         all_states |= ts
     if not all_states:
         return []
+    by_source: dict[int, list[tuple[str, frozenset[int]]]] = {}
+    for (s, a), ts in post.items():
+        by_source.setdefault(s, []).append((a, ts))
 
     mecs: list[MecRecord] = []
     work = [frozenset(all_states)]
     while work:
         cand = work.pop()
-        inside = {(s, a): ts for (s, a), ts in post.items() if s in cand and ts <= cand}
-        edges: dict[int, set[int]] = {}
-        for (s, _), ts in inside.items():
-            edges.setdefault(s, set()).update(ts)
+        inside = {s: [(a, ts) for a, ts in by_source.get(s, ()) if ts <= cand] for s in cand}
+        edges = {s: set().union(*(ts for _, ts in pairs)) for s, pairs in inside.items()}
         comps = _sccs(cand, edges)
         if len(comps) == 1:  # cand is one SCC of its own restricted graph
-            retained: dict[int, frozenset[str]] = {}
-            for s in cand:
-                labels = frozenset(a for (s2, a) in inside if s2 == s)
-                if not labels:
-                    # only possible for a single state without a self-loop
-                    retained = {}
-                    break
-                retained[s] = labels
-            if retained:
+            # only a single state without a self-loop can keep no action
+            if all(inside.values()):
+                retained = {s: frozenset(a for a, _ in pairs) for s, pairs in inside.items()}
                 mecs.append(MecRecord(states=cand, actions=retained))
             continue
         work.extend(comps)  # strictly smaller, so the loop terminates
@@ -174,22 +171,27 @@ def find_delta_sure_mecs(partial, delta_tp: float, p_min: float) -> list[MecReco
     return mecs
 
 
+def leaving_pairs(M: MecRecord, available, post) -> list[tuple[int, str]]:
+    """Real actions leaving M: available actions of M's states with an
+    observed successor outside M, by state index, then availability order."""
+    return [
+        (s, a)
+        for s in sorted(M.states)
+        for a in available.get(s, ())
+        if any(t not in M.states for t in post.get((s, a), ()))
+    ]
+
+
 def best_leaving_action(M: MecRecord, values, available, post) -> tuple[int, str]:
     """Best way out of MEC M.
 
-    Candidates are available actions of M's states with an observed successor
-    outside M, plus stay wherever values holds an (s, STAY) entry. values maps
-    (s, a) -> (lower, upper); the maximum upper wins, ties broken by higher
-    lower, then lower state index, then action label.
+    Candidates are leaving_pairs(M, available, post), plus stay wherever
+    values holds an (s, STAY) entry. values maps (s, a) -> (lower, upper);
+    the maximum upper wins, ties broken by higher lower, then lower state
+    index, then action label.
     """
-    cands = []
-    for s in sorted(M.states):
-        for a in available.get(s, ()):
-            ts = post.get((s, a), ())
-            if any(t not in M.states for t in ts):
-                cands.append((s, a))
-        if (s, STAY) in values:
-            cands.append((s, STAY))
+    cands = leaving_pairs(M, available, post)
+    cands += [(s, STAY) for s in sorted(M.states) if (s, STAY) in values]
     if not cands:
         raise ClosedMec(f"MEC {sorted(M.states)} has no leaving action and no stay")
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import (
     MINUS,
     PLUS,
@@ -23,6 +25,7 @@ from .graph import (
     best_leaving_action,
     find_delta_sure_mecs,
     is_delta_sure_ec,
+    leaving_pairs,
     mec_decomposition,
 )
 from .model import BLACKBOX, GREYBOX, learner_rng
@@ -301,71 +304,148 @@ def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
 
 
 class _Estimates:
-    """Per-round cache of lower transition estimates (counts are frozen
-    during a value-iteration phase, only L/U move)."""
+    """The frozen rows of one value-iteration phase, packed into arrays.
+
+    Counts, successor sets and stay gains do not move during a phase, only
+    L and U do. Value slots 0..n-1 are the discovered states in
+    ``partial.available`` order; every other successor (the pseudo-states,
+    and undiscovered states in hand-built partials) gets a slot after them
+    whose value stays fixed. Pair rows follow the states' action order. Each
+    row holds its successor slots and lower estimates in ascending successor
+    order, padded to the widest row with zero-weight copies of its first
+    successor, so the column-by-column sweep adds the same terms in the same
+    order as a per-row loop, and the padding adds exact zeros.
+    """
 
     def __init__(self, partial: PartialModel, style: str | None = None):
         delta_tp = partial.current_delta_tp()
+        self.states = list(partial.available)
+        self.pairs = [(s, a) for s in self.states for a in partial.available[s]]
+        slot = {s: i for i, s in enumerate(self.states)}
         widths: dict[int, float] = {}
-        self.table = {}
-        for (s, a), n in partial.counts.items():
+        rows = []
+        self.resid = np.zeros(len(self.pairs))
+        self.grey = np.zeros(len(self.pairs), dtype=bool)
+        self.unsampled = np.zeros(len(self.pairs), dtype=bool)
+        for r, (s, a) in enumerate(self.pairs):
+            n = partial.counts[(s, a)]
             if n == 0:
-                self.table[(s, a)] = None
+                self.unsampled[r] = True
+                rows.append(((0, 0.0),))  # any slot: the row's values are (0, 1)
                 continue
             w = widths.get(n)
             if w is None:
                 w = widths[n] = tp_width(n, delta_tp)
             ths = tuple(
-                (t, lower_tp_estimate(partial.triples[(s, a, t)], n, w))
+                (slot.setdefault(t, len(slot)), lower_tp_estimate(partial.triples[(s, a, t)], n, w))
                 for t in sorted(partial.post[(s, a)])
             )
-            resid = max(0.0, 1.0 - sum(th for _, th in ths))
-            self.table[(s, a)] = (ths, resid, partial.grey_equations(s, a, style))
+            self.resid[r] = max(0.0, 1.0 - sum(th for _, th in ths))
+            self.grey[r] = partial.grey_equations(s, a, style)
+            rows.append(ths)
+        self.fixed = list(slot)[len(self.states):]
+        width = max((len(ths) for ths in rows), default=1)
+        # column-major: succ[k] and theta[k] hold the k-th entry of every row
+        self.succ = np.array(
+            [[ths[min(k, len(ths) - 1)][0] for ths in rows] for k in range(width)], dtype=np.intp
+        )
+        self.theta = np.array([[ths[k][1] if k < len(ths) else 0.0 for ths in rows] for k in range(width)])
+        # every discovered state has at least one action, so no segment is empty
+        per_state = np.array([len(partial.available[s]) for s in self.states], dtype=np.intp)
+        self.heads = np.cumsum(per_state) - per_state
+        self.stay_l = np.zeros(len(self.states))
+        self.stay_u = np.zeros(len(self.states))
+        for i, s in enumerate(self.states):
+            rec = partial.stay_of.get(s)
+            if rec is not None:
+                self.stay_l[i] = rec.gain_lower
+                self.stay_u[i] = rec.gain_upper
 
-    def pair_bounds(self, s: int, a: str, L: dict, U: dict):
-        entry = self.table[(s, a)]
-        if entry is None:
-            return 0.0, 1.0
-        ths, resid, grey = entry
-        low = up = 0.0
-        for t, th in ths:
-            low += th * L[t]
-            up += th * U[t]
-        if grey:
-            low += resid * min(L[t] for t, _ in ths)
-            up += resid * max(U[t] for t, _ in ths)
-        else:
-            up += resid
-        return low, up
+        # deflation: each stay MEC's states, its stay gain and the rows of
+        # its leaving pairs (post is frozen, so these are too)
+        row_of = {sa: r for r, sa in enumerate(self.pairs)}
+        clamp_slots, clamp_mec, exits, exit_heads, exit_mecs, gains = [], [], [], [], [], []
+        for M in partial.mecs:
+            if not M.has_stay:
+                continue
+            k = len(gains)
+            gains.append(M.gain_upper)
+            for s in M.states:
+                clamp_slots.append(slot[s])
+                clamp_mec.append(k)
+            out = [row_of[sa] for sa in leaving_pairs(M, partial.available, partial.post)]
+            if out:
+                exit_heads.append(len(exits))
+                exit_mecs.append(k)
+                exits.extend(out)
+        self.clamp_slots = np.array(clamp_slots, dtype=np.intp)
+        self.clamp_mec = np.array(clamp_mec, dtype=np.intp)
+        self.exits = np.array(exits, dtype=np.intp)
+        self.exit_heads = np.array(exit_heads, dtype=np.intp)
+        self.exit_mecs = np.array(exit_mecs, dtype=np.intp)
+        self.gains = np.array(gains, dtype=float)
+
+    def values(self, partial: PartialModel) -> tuple[np.ndarray, np.ndarray]:
+        """L and U over all value slots, read from the partial model."""
+        slots = self.states + self.fixed
+        return (
+            np.array([partial.L[s] for s in slots], dtype=float),
+            np.array([partial.U[s] for s in slots], dtype=float),
+        )
+
+    def store(self, partial: PartialModel, L, U, pair_l, pair_u) -> None:
+        """Write state and pair values back into the partial model's dicts."""
+        n = len(self.states)
+        partial.L.update(zip(self.states, L[:n].tolist()))
+        partial.U.update(zip(self.states, U[:n].tolist()))
+        partial.act_L.update(zip(self.pairs, pair_l.tolist()))
+        partial.act_U.update(zip(self.pairs, pair_u.tolist()))
+
+    def best(self, pair, stay):
+        """Per state: the largest of 0, its pairs' values and its stay gain."""
+        return np.maximum(np.maximum(0.0, np.maximum.reduceat(pair, self.heads)), stay)
+
+    def deflate(self, pair_u, U) -> None:
+        """Clamp U of every stay MEC's states to its best leaving upper value.
+
+        best_leaving_action ranks candidates by upper value first, so the
+        winner's upper is the largest among the MEC's leaving pairs and its
+        stay, whatever the tie-breaks pick.
+        """
+        best = self.gains.copy()
+        out = np.maximum.reduceat(pair_u[self.exits], self.exit_heads)
+        best[self.exit_mecs] = np.maximum(best[self.exit_mecs], out)
+        np.minimum.at(U, self.clamp_slots, best[self.clamp_mec])
 
 
-def _sweep_once(partial: PartialModel, est: _Estimates) -> float:
-    """One synchronous Bellman sweep over the discovered states; refreshes
-    per-pair act values and returns the largest state-value movement."""
-    newL: dict[int, float] = {}
-    newU: dict[int, float] = {}
-    moved = 0.0
-    L, U = partial.L, partial.U
-    for s, av in partial.available.items():
-        best_l = best_u = 0.0
-        for a in av:
-            pl, pu = est.pair_bounds(s, a, L, U)
-            partial.act_L[(s, a)] = pl
-            partial.act_U[(s, a)] = pu
-            if pl > best_l:
-                best_l = pl
-            if pu > best_u:
-                best_u = pu
-        rec = partial.stay_of.get(s)
-        if rec is not None:
-            best_l = max(best_l, rec.gain_lower)
-            best_u = max(best_u, rec.gain_upper)
-        newL[s] = best_l
-        newU[s] = best_u
-        moved = max(moved, abs(best_l - L[s]), abs(best_u - U[s]))
-    partial.L.update(newL)
-    partial.U.update(newU)
-    return moved
+def _sweep_once(est: _Estimates, L: np.ndarray, U: np.ndarray):
+    """One synchronous Bellman sweep over the discovered states.
+
+    Returns (pair lower, pair upper, new L, new U); the new value arrays
+    keep the fixed slots of L and U.
+    """
+    low = np.zeros(len(est.pairs))
+    up = np.zeros(len(est.pairs))
+    for succ, theta in zip(est.succ, est.theta):
+        low += theta * L[succ]
+        up += theta * U[succ]
+    low = np.where(est.grey, low + est.resid * L[est.succ].min(axis=0), low)
+    up = np.where(est.grey, up + est.resid * U[est.succ].max(axis=0), up + est.resid)
+    low[est.unsampled] = 0.0
+    up[est.unsampled] = 1.0
+    n = len(est.states)
+    new_l = L.copy()
+    new_u = U.copy()
+    new_l[:n] = est.best(low, est.stay_l)
+    new_u[:n] = est.best(up, est.stay_u)
+    return low, up, new_l, new_u
+
+
+def _movement(L, U, new_l, new_u, n: int) -> float:
+    """Largest change of a state value between two value arrays."""
+    if n == 0:
+        return 0.0
+    return float(max(np.abs(new_l[:n] - L[:n]).max(), np.abs(new_u[:n] - U[:n]).max()))
 
 
 def global_update(partial: PartialModel, update_style: str | None = None, tol: float = 1e-6) -> bool:
@@ -374,7 +454,11 @@ def global_update(partial: PartialModel, update_style: str | None = None, tol: f
     update_style overrides the partial model's own style (used to compare
     blackbox and greybox updates on identical counts).
     """
-    return _sweep_once(partial, _Estimates(partial, update_style)) > tol
+    est = _Estimates(partial, update_style)
+    L, U = est.values(partial)
+    pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
+    est.store(partial, new_l, new_u, pair_l, pair_u)
+    return _movement(L, U, new_l, new_u, len(est.states)) > tol
 
 
 def _mec_action_values(partial: PartialModel, M: MecRecord) -> dict:
@@ -411,24 +495,21 @@ def _vi_phase(partial: PartialModel, config: LearnerConfig) -> None:
     keep re-raising a closed MEC's U to the estimation-width floor that
     deflation then removes, so per-phase movement never settles even though
     the post-deflate values do (monotonically — the sweep is a monotone map
-    and deflation only lowers U).
+    and deflation only lowers U). The values live in arrays for the whole
+    phase and are written back to the partial model once, at the end.
     """
-    for s in partial.available:
-        partial.L[s] = 0.0
-        partial.U[s] = 1.0
     est = _Estimates(partial)
+    n = len(est.states)
+    L, U = est.values(partial)
+    L[:n] = 0.0
+    U[:n] = 1.0
     while True:
-        before_l = dict(partial.L)
-        before_u = dict(partial.U)
-        _sweep_once(partial, est)
-        for M in partial.mecs:
-            if M.has_stay:
-                deflate(M, partial)
-        moved = max(
-            max(abs(partial.L[s] - before_l[s]), abs(partial.U[s] - before_u[s]))
-            for s in partial.available
-        )
+        pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
+        est.deflate(pair_u, new_u)
+        moved = _movement(L, U, new_l, new_u, n)
+        L, U = new_l, new_u
         if moved <= config.fixpoint_tol:
+            est.store(partial, L, U, pair_l, pair_u)
             partial.invalidate_choices()
             return
 
@@ -501,7 +582,9 @@ def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
                     graph[(q, a)] = frozenset(ts)
     for m in mec_decomposition(graph):
         if s in m.states:
-            if is_delta_sure_ec(m.states, partial.counts, partial.post, delta_tp, p_min):
+            # the gate reads only pairs of m's states, which all lie on the path
+            own = {(q, a): partial.post[(q, a)] for q in m.states for a in partial.available[q]}
+            if is_delta_sure_ec(m.states, partial.counts, own, delta_tp, p_min):
                 m.delta_sure = True
                 return m
             return None

@@ -35,7 +35,7 @@ from mppac import (
     stay_distribution,
     update_mec_value,
 )
-from mppac.learn_mdp import TERMINALS, _choose_action
+from mppac.learn_mdp import TERMINALS, _choose_action, _Estimates, _sweep_once
 
 from .conftest import frozen_partial
 
@@ -182,6 +182,84 @@ def test_global_update_style_override_controls_equations():
     for s in bl:
         assert gl[s] >= bl[s] - 1e-9
         assert gu[s] <= bu[s] + 1e-9
+
+
+@st.composite
+def _swept_partials(draw):
+    """A frozen partial with random values, stays and row shapes, and the
+    update style to sweep it with. Rows may be unsampled, lead to PLUS /
+    MINUS / UNKNOWN, leave estimate mass unassigned, and (greybox) have a
+    complete or an incomplete support."""
+    n_states = draw(st.integers(1, 5))
+    targets = list(range(n_states)) + [PLUS, MINUS, UNKNOWN]
+    triples, counts, succ_total = {}, {}, {}
+    for s in range(n_states):
+        for a in ("a", "b", "c")[: draw(st.integers(1, 3))]:
+            ts = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=4, unique=True))
+            for t in ts:
+                triples[(s, a, t)] = draw(st.integers(1, 60))
+            observed = sum(triples[(s, a, t)] for t in ts)
+            counts[(s, a)] = draw(st.sampled_from([0, observed, observed + 7]))
+            succ_total[(s, a)] = len(ts) + draw(st.integers(0, 1))
+    info = draw(st.sampled_from([BLACKBOX, GREYBOX]))
+    partial = frozen_partial(
+        triples,
+        rewards={s: 1.0 for s in range(n_states)},
+        counts=counts,
+        succ_total=succ_total if info == GREYBOX else None,
+        info_level=info,
+    )
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    for s in range(n_states):
+        partial.L[s], partial.U[s] = sorted((draw(unit), draw(unit)))
+    # disjoint stay MECs over a prefix of a shuffled state list
+    order = draw(st.permutations(list(range(n_states))))
+    cut = draw(st.integers(0, n_states))
+    while cut:
+        size = draw(st.integers(1, cut))
+        states, order, cut = order[:size], order[size:], cut - size
+        low, up = sorted((draw(unit), draw(unit)))
+        partial.mecs.append(MecRecord(
+            states=frozenset(states),
+            actions={q: frozenset(partial.available[q]) for q in states},
+            gain_lower=low,
+            gain_upper=up,
+            has_stay=True,
+        ))
+    partial.rebuild_stay_of()
+    return partial, draw(st.sampled_from([BLACKBOX_UPDATES, GREYBOX_UPDATES]))
+
+
+@given(_swept_partials())
+def test_array_sweep_equals_the_bellman_rows_exactly(case):
+    partial, style = case
+    delta_tp = partial.current_delta_tp()
+    est = _Estimates(partial, style)
+    pair_l, pair_u, new_l, new_u = _sweep_once(est, *est.values(partial))
+    n = len(est.states)
+    for r, (s, a) in enumerate(est.pairs):
+        bellman = bellman_greybox if partial.grey_equations(s, a, style) else bellman_blackbox
+        assert (pair_l[r], pair_u[r]) == bellman(s, a, partial, delta_tp)
+    for i, s in enumerate(est.states):
+        best_l = best_u = 0.0
+        for a in partial.available[s]:
+            pl, pu = (bellman_greybox if partial.grey_equations(s, a, style) else bellman_blackbox)(
+                s, a, partial, delta_tp
+            )
+            best_l, best_u = max(best_l, pl), max(best_u, pu)
+        rec = partial.stay_of.get(s)
+        if rec is not None:
+            best_l, best_u = max(best_l, rec.gain_lower), max(best_u, rec.gain_upper)
+        assert (new_l[i], new_u[i]) == (best_l, best_u)
+    assert list(new_l[n:]) == [partial.L[t] for t in est.fixed]
+    assert list(new_u[n:]) == [partial.U[t] for t in est.fixed]
+
+    # the phase's deflation clamps exactly as deflate does, MEC by MEC
+    est.store(partial, new_l, new_u, pair_l, pair_u)
+    est.deflate(pair_u, new_u)
+    for M in partial.mecs:
+        deflate(M, partial)
+    assert new_u[:n].tolist() == [partial.U[s] for s in est.states]
 
 
 # ---------------------------------------------------------------------------
