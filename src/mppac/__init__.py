@@ -7,6 +7,8 @@ probability at least 1 - δ. A whitebox reference solver covers fully known
 models for testing and comparison.
 """
 
+from types import ModuleType as _ModuleType
+
 from .graph import (
     MINUS,
     PLUS,
@@ -21,15 +23,11 @@ from .graph import (
     model_graph,
 )
 from .learn_ctmdp import (
-    RateTable,
-    UniformizedMec,
     boundary_rate_assignment,
     ctmdp_mec_gain,
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
     on_demand_bvi_ctmdp,
-    simulate_episode_ctmdp,
-    simulate_mec_ctmdp,
     uniformize,
     update_mec_value_ctmdp,
 )
@@ -69,17 +67,11 @@ from .model import (
     parse_model,
 )
 from .stats import (
-    InconfidenceBudget,
-    RatePrecision,
     chernoff_minimizers,
-    combined_alpha_hat,
-    ctmdp_budget,
-    ctmdp_value_bounds,
     ec_required_samples,
     estimate_rate,
     greybox_miss_probability,
     lower_tp_estimate,
-    mdp_budget,
     rate_inconfidence,
     rate_inconfidence_parts,
     rate_interval,
@@ -98,4 +90,7 @@ from .whitebox import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above, without the submodules the imports also bind
+__all__ = sorted(
+    name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)

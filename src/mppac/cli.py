@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .learn_ctmdp import on_demand_bvi_ctmdp
@@ -165,10 +164,10 @@ def run(config: RunConfig) -> int:
         _print_report(report)
         return 0
 
-    # repeated runs: independent seeded learners over one shared model,
-    # one thread each, per-seed output files
-    with ThreadPoolExecutor(max_workers=min(len(config.seeds), os.cpu_count() or 4)) as pool:
-        reports = list(pool.map(lambda s: _run_one(model, config, s), config.seeds))
+    # repeated runs: independent seeded learners over one shared model, one
+    # after the other (the learners are pure Python, so threads gain nothing),
+    # per-seed output files
+    reports = [_run_one(model, config, seed) for seed in config.seeds]
     for seed, report in zip(config.seeds, reports):
         if config.csv_path:
             _write_csv(_suffixed(config.csv_path, seed), report)

@@ -35,7 +35,6 @@ class MecRecord:
     delta_sure: bool = False
     gain_lower: float = 0.0  # scaled to [0,1] by the learner's r_max_seen
     gain_upper: float = 1.0
-    sample_budget: int = 10_000
     has_stay: bool = False  # set once the strict sure-EC gate has passed
 
     def key(self) -> tuple:

@@ -10,8 +10,6 @@ reward-sorted states or a three-call heuristic keyed on the plain estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import MecRecord
 from .learn_mdp import (
     BoundsReport,
@@ -19,40 +17,11 @@ from .learn_mdp import (
     PartialModel,
     _interval_gain_vi,
     _learn,
-    _needs_refinement,
-    _tighten,
-    compute_n_samples,
-    drop_stale_record,
-    simulate_episode,
-    simulate_mec,
+    update_mec_value,
 )
+from .learn_mdp import simulate_episode, simulate_mec  # noqa: F401  bound here for bench/tracer.py
 from .model import CTMDP
 from .stats import rate_inconfidence
-
-
-@dataclass
-class RateTable:
-    """Rate estimates per state-action pair, backed by running sums.
-
-    counts double as dwell-sample counts: every sampled step contributes
-    exactly one residence time to the pair that was played.
-    """
-
-    counts: dict
-    sums: dict
-
-    def count(self, sa) -> int:
-        return self.counts.get(sa, 0)
-
-    def lambda_hat(self, sa) -> float:
-        n = self.counts.get(sa, 0)
-        total = self.sums.get(sa, 0.0)
-        if n < 1 or total <= 0.0:
-            raise ValueError(f"no dwell samples for {sa}")
-        return n / total
-
-    def alpha_r(self, sa, delta_r: float) -> float:
-        return achieved_rate_alpha(self.counts.get(sa, 0), delta_r)
 
 
 _ALPHA_CACHE: dict = {}
@@ -87,16 +56,10 @@ def achieved_rate_alpha(count: int, delta_r: float) -> float:
 # uniformization
 
 
-@dataclass(frozen=True)
-class UniformizedMec:
-    C: float  # uniformization rate; every row leaves state s at rate C
-    rows: dict  # (s,a) -> {t: probability}, self-loop remainder included
-    rewards: dict  # s -> scaled reward
-
-
-def uniformize(M: MecRecord, freq: dict, rates: dict, rewards: dict, C: float | None = None) -> UniformizedMec:
-    """Turn per-pair frequencies and exit rates into one discrete chain:
-    off-diagonal mass freq·λ/C, remainder as a self-loop."""
+def uniformize(freq: dict, rates: dict, C: float | None = None) -> dict:
+    """Turn per-pair frequencies and exit rates into the rows of one
+    discrete chain, (s,a) -> {t: probability}: off-diagonal mass freq·λ/C,
+    remainder as a self-loop. C defaults to the largest rate."""
     lam_max = max(rates.values())
     if C is None:
         C = lam_max
@@ -117,7 +80,7 @@ def uniformize(M: MecRecord, freq: dict, rates: dict, rewards: dict, C: float | 
         if self_mass > 0.0:
             row[s] = self_mass
         rows[sa] = row
-    return UniformizedMec(C=C, rows=rows, rewards=dict(rewards))
+    return rows
 
 
 def ctmdp_mec_gain(pi, r, lam) -> float:
@@ -159,12 +122,9 @@ def update_mec_value_ctmdp(
                 t: partial.triples[(s, a, t)] / n for t in sorted(partial.post[(s, a)])
             }
     rewards = {s: partial.scaled_reward(s) for s in M.states}
-    uni = uniformize(M, freq, rates, rewards, C)
-    rows = {
-        sa: (counts[sa], tuple(sorted(uni.rows[sa].items())))
-        for sa in counts
-    }
-    return _interval_gain_vi(M, rows, uni.rewards, delta_tp, beta, y)
+    uni = uniformize(freq, rates, C)
+    rows = {sa: (counts[sa], tuple(sorted(uni[sa].items()))) for sa in counts}
+    return _interval_gain_vi(M, rows, rewards, delta_tp, beta, y)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +155,11 @@ def _uniformization_rate(lam: dict, alpha_r: float) -> float:
 
 
 def _pair_rates(M: MecRecord, partial: PartialModel) -> dict:
-    table = RateTable(partial.counts, partial.dwell_sum)
+    # every step of a pair adds one dwell time, so counts are sample counts
     return {
-        (s, a): table.lambda_hat((s, a)) for s in M.states for a in M.actions[s]
+        (s, a): partial.counts[(s, a)] / partial.dwell_sum[(s, a)]
+        for s in M.states
+        for a in M.actions[s]
     }
 
 
@@ -274,52 +236,19 @@ def find_mec_mp_bounds_heuristic(
 # learner loop
 
 
-def simulate_episode_ctmdp(oracle, partial: PartialModel, config: LearnerConfig, rng, deadline=None):
-    """Identical walk to the MDP episode; the oracle's dwell times land in
-    the rate table through the shared step recording."""
-    return simulate_episode(oracle, partial, config, rng, deadline)
-
-
-def simulate_mec_ctmdp(
-    M: MecRecord, oracle, n_samples: int, rng, partial: PartialModel, start: int, deadline=None
-):
-    """MEC walk that also accumulates dwell times; returns the refreshed
-    rate estimates per pair, or None if the walk escaped M."""
-    if not simulate_mec(M, oracle, n_samples, rng, partial, start, deadline):
-        return None
-    table = RateTable(partial.counts, partial.dwell_sum)
-    return {(s, a): table.lambda_hat((s, a)) for s in M.states for a in M.actions[s]}
-
-
 def _bound_mec_gain_ctmdp(M, partial, config, beta):
-    delta_tp = partial.current_delta_tp()
+    """CTMDP gain bounder for update_mec_value: the rate-adversarial bounds
+    at the largest relative rate error certified over M's pairs."""
     delta_r = partial.current_delta_r()
-    table = RateTable(partial.counts, partial.dwell_sum)
     alpha_r = max(
-        table.alpha_r((s, a), delta_r) for s in M.states for a in M.actions[s]
+        achieved_rate_alpha(partial.counts[(s, a)], delta_r) for s in M.states for a in M.actions[s]
     )
     bounds = find_mec_mp_bounds_exact if config.exact_mec_bounds else find_mec_mp_bounds_heuristic
-    gl, gu = bounds(M, partial, alpha_r, beta, delta_tp, config.aperiodicity)
-    _tighten(M, gl, gu)
-    partial.invalidate_choices()
+    return bounds(M, partial, alpha_r, beta, partial.current_delta_tp(), config.aperiodicity)
 
 
-def _refine_mec_ctmdp(M, oracle, partial, config, rng, start, deadline):
-    # As for MDPs: re-solving at the current counts is often enough, because
-    # the VI precision target (not the visit counts) binds first. Walk only
-    # when the count/rate width floor is what keeps the gap open.
-    _bound_mec_gain_ctmdp(M, partial, config, (M.gain_upper - M.gain_lower) / 2.0)
-    if not _needs_refinement(M, partial, config):
-        return M.gain_lower, M.gain_upper
-    n_samples = compute_n_samples(M, partial, config)
-    M.sample_budget = n_samples
-    if start is None or start not in M.states:
-        start = min(M.states)
-    if simulate_mec_ctmdp(M, oracle, n_samples, rng, partial, start, deadline) is None:
-        drop_stale_record(M, partial)
-        return None
-    _bound_mec_gain_ctmdp(M, partial, config, (M.gain_upper - M.gain_lower) / 2.0)
-    return M.gain_lower, M.gain_upper
+def _refine_mec_ctmdp(M, oracle, partial, config, rng, start=None, deadline=None):
+    return update_mec_value(M, oracle, partial, config, rng, start, deadline, _bound_mec_gain_ctmdp)
 
 
 def on_demand_bvi_ctmdp(oracle, config: LearnerConfig | None = None) -> BoundsReport:

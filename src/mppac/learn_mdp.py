@@ -228,23 +228,21 @@ class PartialModel:
         self.stay_of = {s: m for m in self.mecs if m.has_stay for s in m.states}
         self.invalidate_choices()
 
-    def reconcile_mecs(self, fresh: list[MecRecord], default_budget: int) -> None:
+    def reconcile_mecs(self, fresh: list[MecRecord]) -> None:
         """Adopt this round's sure MECs. A record matching an old one in both
         state and action sets keeps its gain bounds and stay; anything else
         starts over at (0, 1) — a changed MEC invalidates old gain bounds."""
         old = {m.key(): m for m in self.mecs}
         for m in fresh:
-            m.sample_budget = default_budget
             prev = old.get(m.key())
             if prev is not None:
                 m.gain_lower = prev.gain_lower
                 m.gain_upper = prev.gain_upper
                 m.has_stay = prev.has_stay
-                m.sample_budget = prev.sample_budget
         self.mecs = fresh
         self.rebuild_stay_of()
 
-    def adopt_looping_record(self, rec: MecRecord, default_budget: int) -> MecRecord:
+    def adopt_looping_record(self, rec: MecRecord) -> MecRecord:
         """Attach stay to a freshly confirmed EC mid-episode. An existing
         record with the same identity keeps its bounds; otherwise records
         overlapping the new one are dropped."""
@@ -257,7 +255,6 @@ class PartialModel:
         self.mecs = [m for m in self.mecs if not (m.states & rec.states)]
         rec.delta_sure = True
         rec.has_stay = True
-        rec.sample_budget = default_budget
         self.mecs.append(rec)
         self.rebuild_stay_of()
         return rec
@@ -303,56 +300,92 @@ def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
     return low, up
 
 
-class _Estimates:
+class _Rows:
+    """Interval Bellman rows packed column-major: the one row kernel.
+
+    rows holds one (count, ((t, frequency), ...), grey) entry per pair, with
+    successors in ascending order and the pairs of each state contiguous;
+    per_state gives how many rows each state owns. A row with count 0 is
+    unsampled. The lower estimate of a successor is its frequency minus the
+    Hoeffding width at the row's count, floored at 0; the residual mass goes
+    to the worst/best successor of a grey row and to 0/1 otherwise. slot
+    maps successors to value slots and gains a slot for any successor it
+    lacks. Each row is padded to the widest row with zero-weight copies of
+    its first successor, so the column-by-column sum adds the same terms in
+    the same order as a per-row loop, and the padding adds exact zeros.
+    """
+
+    def __init__(self, rows, per_state, slot: dict, delta_tp: float):
+        widths: dict[int, float] = {}
+        packed = []
+        self.resid = np.zeros(len(rows))
+        self.grey = np.zeros(len(rows), dtype=bool)
+        self.unsampled = np.zeros(len(rows), dtype=bool)
+        for r, (n, freqs, grey) in enumerate(rows):
+            if n == 0:
+                self.unsampled[r] = True
+                packed.append(((0, 0.0),))  # any slot: the row's values are (0, 1)
+                continue
+            w = widths.get(n)
+            if w is None:
+                w = widths[n] = tp_width(n, delta_tp)
+            ths = tuple((slot.setdefault(t, len(slot)), max(0.0, f - w)) for t, f in freqs)
+            self.resid[r] = max(0.0, 1.0 - sum(th for _, th in ths))
+            self.grey[r] = grey
+            packed.append(ths)
+        width = max((len(ths) for ths in packed), default=1)
+        # column-major: succ[k] and theta[k] hold the k-th entry of every row
+        self.succ = np.array(
+            [[ths[min(k, len(ths) - 1)][0] for ths in packed] for k in range(width)], dtype=np.intp
+        )
+        self.theta = np.array([[ths[k][1] if k < len(ths) else 0.0 for ths in packed] for k in range(width)])
+        # every state owns at least one row, so no segment is empty
+        per_state = np.array(per_state, dtype=np.intp)
+        self.heads = np.cumsum(per_state) - per_state
+
+    def bounds(self, L: np.ndarray, U: np.ndarray):
+        """Lower and upper value of every row at state values L and U."""
+        low = np.zeros(len(self.resid))
+        up = np.zeros(len(self.resid))
+        for succ, theta in zip(self.succ, self.theta):
+            low += theta * L[succ]
+            up += theta * U[succ]
+        low = np.where(self.grey, low + self.resid * L[self.succ].min(axis=0), low)
+        up = np.where(self.grey, up + self.resid * U[self.succ].max(axis=0), up + self.resid)
+        low[self.unsampled] = 0.0
+        up[self.unsampled] = 1.0
+        return low, up
+
+    def best(self, pair: np.ndarray) -> np.ndarray:
+        """Per state: the largest of 0 and its rows' values."""
+        return np.maximum(0.0, np.maximum.reduceat(pair, self.heads))
+
+
+class _Estimates(_Rows):
     """The frozen rows of one value-iteration phase, packed into arrays.
 
     Counts, successor sets and stay gains do not move during a phase, only
     L and U do. Value slots 0..n-1 are the discovered states in
     ``partial.available`` order; every other successor (the pseudo-states,
     and undiscovered states in hand-built partials) gets a slot after them
-    whose value stays fixed. Pair rows follow the states' action order. Each
-    row holds its successor slots and lower estimates in ascending successor
-    order, padded to the widest row with zero-weight copies of its first
-    successor, so the column-by-column sweep adds the same terms in the same
-    order as a per-row loop, and the padding adds exact zeros.
+    whose value stays fixed. Pair rows follow the states' action order.
     """
 
     def __init__(self, partial: PartialModel, style: str | None = None):
-        delta_tp = partial.current_delta_tp()
         self.states = list(partial.available)
         self.pairs = [(s, a) for s in self.states for a in partial.available[s]]
         slot = {s: i for i, s in enumerate(self.states)}
-        widths: dict[int, float] = {}
         rows = []
-        self.resid = np.zeros(len(self.pairs))
-        self.grey = np.zeros(len(self.pairs), dtype=bool)
-        self.unsampled = np.zeros(len(self.pairs), dtype=bool)
-        for r, (s, a) in enumerate(self.pairs):
+        for s, a in self.pairs:
             n = partial.counts[(s, a)]
             if n == 0:
-                self.unsampled[r] = True
-                rows.append(((0, 0.0),))  # any slot: the row's values are (0, 1)
+                rows.append((0, (), False))
                 continue
-            w = widths.get(n)
-            if w is None:
-                w = widths[n] = tp_width(n, delta_tp)
-            ths = tuple(
-                (slot.setdefault(t, len(slot)), lower_tp_estimate(partial.triples[(s, a, t)], n, w))
-                for t in sorted(partial.post[(s, a)])
-            )
-            self.resid[r] = max(0.0, 1.0 - sum(th for _, th in ths))
-            self.grey[r] = partial.grey_equations(s, a, style)
-            rows.append(ths)
+            freqs = tuple((t, partial.triples[(s, a, t)] / n) for t in sorted(partial.post[(s, a)]))
+            rows.append((n, freqs, partial.grey_equations(s, a, style)))
+        per_state = [len(partial.available[s]) for s in self.states]
+        super().__init__(rows, per_state, slot, partial.current_delta_tp())
         self.fixed = list(slot)[len(self.states):]
-        width = max((len(ths) for ths in rows), default=1)
-        # column-major: succ[k] and theta[k] hold the k-th entry of every row
-        self.succ = np.array(
-            [[ths[min(k, len(ths) - 1)][0] for ths in rows] for k in range(width)], dtype=np.intp
-        )
-        self.theta = np.array([[ths[k][1] if k < len(ths) else 0.0 for ths in rows] for k in range(width)])
-        # every discovered state has at least one action, so no segment is empty
-        per_state = np.array([len(partial.available[s]) for s in self.states], dtype=np.intp)
-        self.heads = np.cumsum(per_state) - per_state
         self.stay_l = np.zeros(len(self.states))
         self.stay_u = np.zeros(len(self.states))
         for i, s in enumerate(self.states):
@@ -401,10 +434,6 @@ class _Estimates:
         partial.act_L.update(zip(self.pairs, pair_l.tolist()))
         partial.act_U.update(zip(self.pairs, pair_u.tolist()))
 
-    def best(self, pair, stay):
-        """Per state: the largest of 0, its pairs' values and its stay gain."""
-        return np.maximum(np.maximum(0.0, np.maximum.reduceat(pair, self.heads)), stay)
-
     def deflate(self, pair_u, U) -> None:
         """Clamp U of every stay MEC's states to its best leaving upper value.
 
@@ -424,20 +453,12 @@ def _sweep_once(est: _Estimates, L: np.ndarray, U: np.ndarray):
     Returns (pair lower, pair upper, new L, new U); the new value arrays
     keep the fixed slots of L and U.
     """
-    low = np.zeros(len(est.pairs))
-    up = np.zeros(len(est.pairs))
-    for succ, theta in zip(est.succ, est.theta):
-        low += theta * L[succ]
-        up += theta * U[succ]
-    low = np.where(est.grey, low + est.resid * L[est.succ].min(axis=0), low)
-    up = np.where(est.grey, up + est.resid * U[est.succ].max(axis=0), up + est.resid)
-    low[est.unsampled] = 0.0
-    up[est.unsampled] = 1.0
+    low, up = est.bounds(L, U)
     n = len(est.states)
     new_l = L.copy()
     new_u = U.copy()
-    new_l[:n] = est.best(low, est.stay_l)
-    new_u[:n] = est.best(up, est.stay_u)
+    new_l[:n] = np.maximum(est.best(low), est.stay_l)
+    new_u[:n] = np.maximum(est.best(up), est.stay_u)
     return low, up, new_l, new_u
 
 
@@ -621,7 +642,7 @@ def simulate_episode(oracle, partial: PartialModel, config: LearnerConfig, rng, 
             if rec is None:
                 rec = looping(path, t, partial, partial.current_delta_tp(), partial.p_min)
                 if rec is not None:
-                    rec = partial.adopt_looping_record(rec, config.initial_mec_samples)
+                    rec = partial.adopt_looping_record(rec)
             if rec is not None:
                 ls, la = best_leaving_action(
                     rec, _mec_action_values(partial, rec), partial.available, partial.post
@@ -692,48 +713,35 @@ def simulate_mec(
 def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float, y: float):
     """Interval value iteration for the gain of a (presumed) MEC.
 
-    rows maps (s,a) to (count, ((t, frequency), ...)); widths come from the
-    counts, residual mass goes to the worst/best seen successor. A virtual
-    self-loop of mass 1-y forces aperiodicity without changing the gain.
-    Iterates until both update-difference spans are below beta; the lower
-    gain is the smallest lower difference, the upper gain the largest upper
-    difference, clamped to [0,1].
+    rows maps (s,a) to (count, ((t, frequency), ...)) and runs through the
+    phase's row kernel (_Rows) with residual mass to the worst/best seen
+    successor. A virtual self-loop of mass 1-y forces aperiodicity without
+    changing the gain. Iterates until both update-difference spans are
+    below beta; the lower gain is the smallest lower difference, the upper
+    gain the largest upper difference, clamped to [0,1].
     """
     beta = max(beta, 1e-9)
     states = sorted(M.states)
-    prepared = {}
-    for (s, a), (n, q) in rows.items():
-        w = tp_width(n, delta_tp)
-        ths = tuple((t, max(0.0, f - w)) for t, f in q)
-        prepared[(s, a)] = (ths, max(0.0, 1.0 - sum(th for _, th in ths)))
-    acts = {s: sorted(M.actions[s]) for s in states}
-    l = {s: 0.0 for s in states}
-    u = {s: 0.0 for s in states}
+    pairs = [(s, a) for s in states for a in sorted(M.actions[s])]
+    packed = _Rows(
+        [(*rows[sa], True) for sa in pairs],
+        [len(M.actions[s]) for s in states],
+        {s: i for i, s in enumerate(states)},
+        delta_tp,
+    )
+    r = np.array([rewards[s] for s in states], dtype=float)
+    l = np.zeros(len(states))
+    u = np.zeros(len(states))
     while True:
-        newl = {}
-        newu = {}
-        for s in states:
-            best_l = best_u = 0.0
-            for a in acts[s]:
-                ths, resid = prepared[(s, a)]
-                pl = pu = 0.0
-                for t, th in ths:
-                    pl += th * l[t]
-                    pu += th * u[t]
-                pl += resid * min(l[t] for t, _ in ths)
-                pu += resid * max(u[t] for t, _ in ths)
-                if pl > best_l:
-                    best_l = pl
-                if pu > best_u:
-                    best_u = pu
-            newl[s] = rewards[s] + y * best_l + (1.0 - y) * l[s]
-            newu[s] = rewards[s] + y * best_u + (1.0 - y) * u[s]
-        dl = [newl[s] - l[s] for s in states]
-        du = [newu[s] - u[s] for s in states]
+        pl, pu = packed.bounds(l, u)
+        newl = r + y * packed.best(pl) + (1.0 - y) * l
+        newu = r + y * packed.best(pu) + (1.0 - y) * u
+        dl = newl - l
+        du = newu - u
         l, u = newl, newu
-        if max(dl) - min(dl) <= beta and max(du) - min(du) <= beta:
-            gl = min(1.0, max(0.0, min(dl)))
-            gu = min(1.0, max(0.0, max(du)))
+        if dl.max() - dl.min() <= beta and du.max() - du.min() <= beta:
+            gl = min(1.0, max(0.0, float(dl.min())))
+            gu = min(1.0, max(0.0, float(du.max())))
             return gl, max(gl, gu)
 
 
@@ -773,6 +781,11 @@ def drop_stale_record(M: MecRecord, partial: PartialModel) -> None:
     partial.rebuild_stay_of()
 
 
+def _bound_mec_gain(M: MecRecord, partial: PartialModel, config: LearnerConfig, beta: float):
+    """MDP gain bounder for update_mec_value: interval VI at the current counts."""
+    return mec_value_iteration(M, partial, partial.current_delta_tp(), beta, config.aperiodicity)
+
+
 def update_mec_value(
     M: MecRecord,
     oracle,
@@ -781,38 +794,35 @@ def update_mec_value(
     rng,
     start: int | None = None,
     deadline=None,
+    bound=_bound_mec_gain,
 ):
-    """Refine M's gain bounds, aiming interval VI at half the current gap.
+    """Refine M's gain bounds, aiming the gain bounder at half the current gap.
 
-    Value iteration alone often suffices: the precision target beta, not the
-    visit counts, is what binds whenever rows concentrate on few successors
-    (a single-successor row loses no width at any count). The sampling walk
-    with its escalating budget therefore only runs when VI at the current
-    counts leaves the gap too wide, i.e. when the count-driven width floor
-    is the binding constraint. Returns the new bounds, or None if the walk
-    escaped M (stale record, dropped).
+    bound(M, partial, config, beta) returns fresh (lower, upper) gain bounds
+    at the current counts: interval VI for MDPs, the rate-adversarial sweep
+    for CTMDPs. Value iteration alone often suffices: the precision target
+    beta, not the visit counts, is what binds whenever rows concentrate on
+    few successors (a single-successor row loses no width at any count). The
+    sampling walk with its escalating budget therefore only runs when the
+    bounds at the current counts leave the gap too wide, i.e. when the
+    count-driven width floor is the binding constraint. Returns the new
+    bounds, or None if the walk escaped M (stale record, dropped).
     """
-    beta = (M.gain_upper - M.gain_lower) / 2.0
-    gl, gu = mec_value_iteration(
-        M, partial, partial.current_delta_tp(), beta, config.aperiodicity
-    )
-    _tighten(M, gl, gu)
-    partial.invalidate_choices()
+
+    def refit():
+        _tighten(M, *bound(M, partial, config, (M.gain_upper - M.gain_lower) / 2.0))
+        partial.invalidate_choices()
+
+    refit()
     if not _needs_refinement(M, partial, config):
         return M.gain_lower, M.gain_upper
     n_samples = compute_n_samples(M, partial, config)
-    M.sample_budget = n_samples
     if start is None or start not in M.states:
         start = min(M.states)
     if not simulate_mec(M, oracle, n_samples, rng, partial, start, deadline):
         drop_stale_record(M, partial)
         return None
-    beta = (M.gain_upper - M.gain_lower) / 2.0
-    gl, gu = mec_value_iteration(
-        M, partial, partial.current_delta_tp(), beta, config.aperiodicity
-    )
-    _tighten(M, gl, gu)
-    partial.invalidate_choices()
+    refit()
     return M.gain_lower, M.gain_upper
 
 
@@ -873,7 +883,7 @@ def _learn(oracle, config: LearnerConfig, refine, ctmdp: bool) -> BoundsReport:
                         refine(rec, oracle, partial, config, rng, path[-2], deadline)
 
         fresh = find_delta_sure_mecs(partial, partial.current_delta_tp(), partial.p_min)
-        partial.reconcile_mecs(fresh, config.initial_mec_samples)
+        partial.reconcile_mecs(fresh)
         _vi_phase(partial, config)
         low = partial.L[oracle.init]
         up = partial.U[oracle.init]

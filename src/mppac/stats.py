@@ -1,6 +1,6 @@
 """Confidence-interval and sample-size mathematics.
 
-Hoeffding widths for transition probabilities, inconfidence budgeting,
+Hoeffding widths for transition probabilities, the inconfidence split,
 sample thresholds for sure end components, and Chernoff bounds for
 exponential rate estimation. Everything here is a pure function of its
 arguments.
@@ -9,29 +9,6 @@ arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class InconfidenceBudget:
-    """How the overall mean-payoff inconfidence delta_mp is spread over the
-    individual estimates. delta_tp (and for CTMDPs delta_r) shrink whenever
-    the discovered state-action count grows, so budgets are recomputed rather
-    than stored long-term."""
-
-    delta_mp: float
-    delta_tp: float
-    delta_mp1: float | None = None  # CTMDP: transition-probability share
-    delta_mp2: float | None = None  # CTMDP: rate share
-    delta_r: float | None = None
-
-
-@dataclass(frozen=True)
-class RatePrecision:
-    """A rate known alpha_r-precisely after n_samples dwell observations."""
-
-    alpha_r: float
-    n_samples: int
 
 
 def tp_inconfidence(delta_mp: float, p_min: float, num_state_actions: int) -> float:
@@ -73,41 +50,19 @@ def greybox_miss_probability(p_min: float, count: int) -> float:
     return (1.0 - p_min) ** count
 
 
-def _golden_min(g, a: float, b: float, rel_tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal g on [a, b]: (argmin, minimum)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    if gc < gd:
-        return c, gc
-    return d, gd
-
-
 def _chernoff_infima(n: int, alpha_r: float):
     """The two Chernoff infima as ((argmin, log value), (argmin, log value)).
 
-    Terms are minimized in log space — the raw products over/underflow for
-    large n. The underestimation term tilts by 1+alpha on u in (-1, 0), the
+    Closed form: the log term n(u(1+-alpha) - ln(1+u)) is convex in u with
+    its stationary point at u = 1/(1+-alpha) - 1, where it equals
+    n(ln(1+-alpha) -+ alpha). Logs keep large n from underflowing. The
+    underestimation term tilts by 1+alpha on u in (-1, 0), the
     overestimation term by 1-alpha on u > 0.
     """
-    n = int(n)
-
-    def log_term(c, lo, hi):
-        return _golden_min(lambda u: n * (u * c - math.log1p(u)), lo, hi)
-
-    below = log_term(1.0 + alpha_r, -1.0 + 1e-9, -1e-9)
-    above = log_term(1.0 - alpha_r, 1e-9, 50.0)
-    return below, above
+    return (
+        (1.0 / (1.0 + alpha_r) - 1.0, n * (math.log1p(alpha_r) - alpha_r)),
+        (1.0 / (1.0 - alpha_r) - 1.0, n * (math.log1p(-alpha_r) + alpha_r)),
+    )
 
 
 def rate_inconfidence_parts(n: int, alpha_r: float) -> tuple[float, float]:
@@ -121,9 +76,8 @@ def rate_inconfidence_parts(n: int, alpha_r: float) -> tuple[float, float]:
 
 
 def chernoff_minimizers(n: int, alpha_r: float) -> tuple[float, float]:
-    """Arguments u = t/lambda attaining the two Chernoff infima. Closed form
-    is u = 1/(1 +- alpha) - 1; exposed from the numerical search as a
-    diagnostic of its accuracy."""
+    """Arguments u = t/lambda attaining the two Chernoff infima:
+    u = 1/(1 +- alpha) - 1."""
     (below_u, _), (above_u, _) = _chernoff_infima(n, alpha_r)
     return below_u, above_u
 
@@ -179,40 +133,3 @@ def split_mp_inconfidence(delta_mp: float, p_min: float) -> tuple[float, float]:
     This ratio makes the induced per-item delta_tp and delta_r coincide.
     """
     return delta_mp / (p_min + 1.0), delta_mp * p_min / (p_min + 1.0)
-
-
-def combined_alpha_hat(alpha_tp: float, eps_tp: float, p_min: float) -> float:
-    """Diagnostic combined relative error (p_min*a + eps) / (p_min - eps);
-    undefined once eps_tp reaches p_min."""
-    if eps_tp >= p_min:
-        raise ValueError(f"eps_tp {eps_tp:.6g} >= p_min {p_min:.6g}")
-    return (p_min * alpha_tp + eps_tp) / (p_min - eps_tp)
-
-
-def ctmdp_value_bounds(v: float, alpha_r: float, r_max: float) -> tuple[float, float, float]:
-    """Envelope on a mean payoff computed from alpha_r-precise rates:
-    v(1-a)/(1+a) <= v_hat <= v(1+a)/(1-a), |v_hat - v| <= r_max * 2a/(1-a)."""
-    low = v * (1.0 - alpha_r) / (1.0 + alpha_r)
-    high = v * (1.0 + alpha_r) / (1.0 - alpha_r)
-    return low, high, r_max * 2.0 * alpha_r / (1.0 - alpha_r)
-
-
-def mdp_budget(delta_mp: float, p_min: float, num_state_actions: int) -> InconfidenceBudget:
-    """Budget for MDP learning: everything goes to transition probabilities."""
-    return InconfidenceBudget(
-        delta_mp=delta_mp,
-        delta_tp=tp_inconfidence(delta_mp, p_min, num_state_actions),
-    )
-
-
-def ctmdp_budget(delta_mp: float, p_min: float, num_state_actions: int) -> InconfidenceBudget:
-    """Budget for CTMDP learning: split delta_mp between transition
-    probabilities and rates, then spread each over the discovered pairs."""
-    d1, d2 = split_mp_inconfidence(delta_mp, p_min)
-    return InconfidenceBudget(
-        delta_mp=delta_mp,
-        delta_tp=tp_inconfidence(d1, p_min, num_state_actions),
-        delta_mp1=d1,
-        delta_mp2=d2,
-        delta_r=d2 / num_state_actions,
-    )

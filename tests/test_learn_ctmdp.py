@@ -4,12 +4,13 @@ bounds, and the continuous-time end-to-end loop."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mppac import (
     BLACKBOX,
     LearnerConfig,
     MecRecord,
-    RateTable,
     SampleOracle,
     boundary_rate_assignment,
     ctmdp_mec_gain,
@@ -17,8 +18,9 @@ from mppac import (
     find_mec_mp_bounds_heuristic,
     learner_rng,
     on_demand_bvi_ctmdp,
+    PartialModel,
     rate_inconfidence,
-    simulate_mec_ctmdp,
+    simulate_mec,
     uniformize,
     update_mec_value_ctmdp,
 )
@@ -28,19 +30,6 @@ from .conftest import frozen_partial
 
 # ---------------------------------------------------------------------------
 # rate bookkeeping
-
-
-def test_rate_table_estimates_from_running_sums():
-    table = RateTable(counts={("s", "a"): 4}, sums={("s", "a"): 2.0})
-    assert table.count(("s", "a")) == 4
-    assert table.count(("s", "b")) == 0
-    assert table.lambda_hat(("s", "a")) == pytest.approx(2.0)
-
-
-def test_rate_table_rejects_missing_samples():
-    table = RateTable(counts={}, sums={})
-    with pytest.raises(ValueError):
-        table.lambda_hat(("s", "a"))
 
 
 def test_achieved_rate_alpha_is_certified_and_tight():
@@ -70,29 +59,26 @@ def _cycle_mec():
 
 
 def test_uniformize_splits_mass_by_rate_ratio():
-    M = _cycle_mec()
     freq = {(0, "a"): {1: 1.0}, (1, "a"): {0: 1.0}}
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
-    uni = uniformize(M, freq, rates, {0: 1.0, 1: 0.0})
-    assert uni.C == pytest.approx(2.0)
-    assert uni.rows[(0, "a")] == pytest.approx({1: 1.0})
-    assert uni.rows[(1, "a")] == pytest.approx({0: 0.5, 1: 0.5})
+    # C defaults to the largest rate, 2: state 1 leaves at rate 1 = C/2
+    rows = uniformize(freq, rates)
+    assert rows[(0, "a")] == pytest.approx({1: 1.0})
+    assert rows[(1, "a")] == pytest.approx({0: 0.5, 1: 0.5})
 
 
 def test_uniformize_keeps_observed_self_loop_mass():
-    M = MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})})
     freq = {(0, "a"): {0: 0.4, 1: 0.6}}
-    uni = uniformize(M, freq, {(0, "a"): 1.0}, {0: 0.0}, C=2.0)
+    rows = uniformize(freq, {(0, "a"): 1.0}, C=2.0)
     # only the off-diagonal mass scales with lambda/C
-    assert uni.rows[(0, "a")] == pytest.approx({1: 0.3, 0: 0.7})
+    assert rows[(0, "a")] == pytest.approx({1: 0.3, 0: 0.7})
 
 
 def test_uniformize_rejects_too_small_c():
-    M = _cycle_mec()
     freq = {(0, "a"): {1: 1.0}, (1, "a"): {0: 1.0}}
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
     with pytest.raises(ValueError, match="uniformization rate"):
-        uniformize(M, freq, rates, {0: 0.0, 1: 0.0}, C=1.0)
+        uniformize(freq, rates, C=1.0)
 
 
 def test_ctmdp_mec_gain_worked_value():
@@ -207,10 +193,8 @@ def test_simulate_mec_ctmdp_refreshes_rate_estimates(cycle_rates):
         ctmdp=True,
     )
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
-    rates = simulate_mec_ctmdp(
-        _cycle_mec(), oracle, 2000, learner_rng(0), partial, start=0
-    )
-    assert rates is not None
+    assert simulate_mec(_cycle_mec(), oracle, 2000, learner_rng(0), partial, start=0)
+    rates = {sa: partial.counts[sa] / partial.dwell_sum[sa] for sa in ((0, "a"), (1, "a"))}
     assert rates[(0, "a")] == pytest.approx(2.0, rel=0.15)
     assert rates[(1, "a")] == pytest.approx(1.0, rel=0.15)
 
@@ -225,12 +209,30 @@ def test_simulate_mec_ctmdp_reports_escape(cycle_rates):
     )
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
     M = MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})})
-    assert simulate_mec_ctmdp(M, oracle, 10, learner_rng(0), partial, start=0) is None
+    assert simulate_mec(M, oracle, 10, learner_rng(0), partial, start=0) is False
 
 
-def test_ctmdp_split_keeps_tp_and_rate_inconfidence_equal():
-    partial = _cycle_rates_partial()
-    assert partial.current_delta_tp() == pytest.approx(partial.current_delta_r())
+def _partial_with_pairs(delta, p_min, pairs, ctmdp):
+    partial = PartialModel(p_min, delta_mp=delta, ctmdp=ctmdp)
+    partial.counts = {(s, "a"): 1 for s in range(pairs)}
+    return partial
+
+
+@given(
+    delta=st.floats(min_value=1e-9, max_value=1.0),
+    p_min=st.floats(min_value=1e-6, max_value=1.0),
+    pairs=st.integers(min_value=1, max_value=10**4),
+)
+def test_ctmdp_split_keeps_tp_and_rate_inconfidence_equal(delta, p_min, pairs):
+    # the CTMDP budget: delta splits into a transition and a rate share that
+    # induce equal per-pair inconfidences; an MDP spends all of it on
+    # transitions, delta * p_min / pairs each
+    partial = _partial_with_pairs(delta, p_min, pairs, ctmdp=True)
+    assert partial.current_delta_tp() == pytest.approx(partial.current_delta_r(), rel=1e-9)
+    shares = (partial.current_delta_tp() / p_min + partial.current_delta_r()) * pairs
+    assert shares == pytest.approx(delta, rel=1e-9)
+    mdp = _partial_with_pairs(delta, p_min, pairs, ctmdp=False)
+    assert mdp.current_delta_tp() == pytest.approx(delta * p_min / pairs, rel=1e-12)
 
 
 def test_on_demand_bvi_ctmdp_rejects_mdp_oracles(two_mec):
@@ -263,13 +265,8 @@ def test_exact_mec_bounds_flag_selects_the_sweep():
     from mppac.learn_ctmdp import _bound_mec_gain_ctmdp
 
     def bounds(exact):
-        partial = _cycle_rates_partial()
-        M = _cycle_mec()
-        M.has_stay = True
-        partial.mecs.append(M)
         config = LearnerConfig(exact_mec_bounds=exact)
-        _bound_mec_gain_ctmdp(M, partial, config, beta=1e-5)
-        return M.gain_lower, M.gain_upper
+        return _bound_mec_gain_ctmdp(_cycle_mec(), _cycle_rates_partial(), config, beta=1e-5)
 
     el, eu = bounds(True)
     hl, hu = bounds(False)

@@ -35,7 +35,8 @@ from mppac import (
     stay_distribution,
     update_mec_value,
 )
-from mppac.learn_mdp import TERMINALS, _choose_action, _Estimates, _sweep_once
+from mppac.learn_mdp import TERMINALS, _choose_action, _Estimates, _interval_gain_vi, _sweep_once
+from mppac.stats import tp_width
 
 from .conftest import frozen_partial
 
@@ -322,7 +323,7 @@ def test_adopt_keeps_matching_record_bounds():
     partial.mecs.append(old)
     partial.rebuild_stay_of()
     fresh = looping([1, 2, 1, 2, 1], 1, partial, 0.1, 0.1)
-    adopted = partial.adopt_looping_record(fresh, 10_000)
+    adopted = partial.adopt_looping_record(fresh)
     assert adopted is old
     assert (adopted.gain_lower, adopted.gain_upper) == (0.3, 0.6)
 
@@ -339,7 +340,7 @@ def test_adopt_drops_overlapping_stale_records():
     partial.mecs.append(stale)
     partial.rebuild_stay_of()
     fresh = looping([1, 2, 1, 2, 1], 1, partial, 0.1, 0.1)
-    adopted = partial.adopt_looping_record(fresh, 5000)
+    adopted = partial.adopt_looping_record(fresh)
     assert stale not in partial.mecs
     assert adopted in partial.mecs
     assert adopted.has_stay and adopted.delta_sure
@@ -414,6 +415,69 @@ def test_simulate_mec_respects_a_passed_deadline(cycle_entry):
         M, oracle, 10_000, learner_rng(0), partial, 1, deadline=time.monotonic() - 1.0
     )
     assert partial.counts == before  # out of time before the first step
+
+
+def _loop_interval_gain_vi(M, rows, rewards, delta_tp, beta, y):
+    # the per-row loop that the packed-row kernel must reproduce exactly
+    beta = max(beta, 1e-9)
+    states = sorted(M.states)
+    prepared = {}
+    for sa, (n, q) in rows.items():
+        w = tp_width(n, delta_tp)
+        ths = tuple((t, max(0.0, f - w)) for t, f in q)
+        prepared[sa] = (ths, max(0.0, 1.0 - sum(th for _, th in ths)))
+    l = {s: 0.0 for s in states}
+    u = {s: 0.0 for s in states}
+    while True:
+        newl, newu = {}, {}
+        for s in states:
+            best_l = best_u = 0.0
+            for a in sorted(M.actions[s]):
+                ths, resid = prepared[(s, a)]
+                pl = pu = 0.0
+                for t, th in ths:
+                    pl += th * l[t]
+                    pu += th * u[t]
+                pl += resid * min(l[t] for t, _ in ths)
+                pu += resid * max(u[t] for t, _ in ths)
+                best_l, best_u = max(best_l, pl), max(best_u, pu)
+            newl[s] = rewards[s] + y * best_l + (1.0 - y) * l[s]
+            newu[s] = rewards[s] + y * best_u + (1.0 - y) * u[s]
+        dl = [newl[s] - l[s] for s in states]
+        du = [newu[s] - u[s] for s in states]
+        l, u = newl, newu
+        if max(dl) - min(dl) <= beta and max(du) - min(du) <= beta:
+            gl = min(1.0, max(0.0, min(dl)))
+            gu = min(1.0, max(0.0, max(du)))
+            return gl, max(gl, gu)
+
+
+@st.composite
+def _mec_rows(draw):
+    # a cycle 0 -> 1 -> ... -> 0 runs through every row, and each successor
+    # is drawn at least 1000 times in 11000, so every lower estimate stays
+    # positive at these widths: every policy is irreducible and the spans
+    # converge
+    k = draw(st.integers(min_value=1, max_value=4))
+    actions, rows = {}, {}
+    for s in range(k):
+        labels = ("a", "b", "c")[: draw(st.integers(min_value=1, max_value=3))]
+        actions[s] = frozenset(labels)
+        for a in labels:
+            succ = {(s + 1) % k} | set(draw(st.lists(st.integers(0, k - 1), max_size=2)))
+            counts = {t: draw(st.integers(min_value=1000, max_value=5000)) for t in sorted(succ)}
+            n = sum(counts.values())
+            rows[(s, a)] = (n, tuple((t, c / n) for t, c in counts.items()))
+    rewards = {s: draw(st.floats(min_value=0.0, max_value=1.0)) for s in range(k)}
+    M = MecRecord(states=frozenset(range(k)), actions=actions)
+    delta_tp = draw(st.sampled_from((1.0, 0.05)))
+    beta = draw(st.sampled_from((1e-3, 1e-6)))
+    return M, rows, rewards, delta_tp, beta
+
+
+@given(_mec_rows())
+def test_interval_gain_vi_equals_the_per_row_loop_exactly(case):
+    assert _interval_gain_vi(*case, 0.95) == _loop_interval_gain_vi(*case, 0.95)
 
 
 def test_mec_value_iteration_self_loop_is_exact():

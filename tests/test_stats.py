@@ -11,15 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppac import (
+    PartialModel,
     chernoff_minimizers,
-    combined_alpha_hat,
-    ctmdp_budget,
-    ctmdp_value_bounds,
     ec_required_samples,
     estimate_rate,
     greybox_miss_probability,
     lower_tp_estimate,
-    mdp_budget,
     rate_inconfidence,
     rate_inconfidence_parts,
     rate_interval,
@@ -187,6 +184,34 @@ def test_chernoff_minimizers_match_closed_form():
     assert above == pytest.approx(1.0 / 0.95 - 1.0, abs=1e-3)
 
 
+def _chernoff_log_term(n, u, tilt):
+    # log of (1/(1+u))^n e^{u n tilt}, straight from the bound's definition
+    return n * (u * tilt - math.log1p(u))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10**6),
+    alpha=st.floats(min_value=1e-4, max_value=0.95, exclude_max=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_chernoff_minimizers_minimize_the_log_terms(n, alpha):
+    # each returned point beats its neighbours u(1 +- 1e-3) and a few fixed
+    # tilts in its range, and the returned terms are the minima themselves
+    below_u, above_u = chernoff_minimizers(n, alpha)
+    below, above = rate_inconfidence_parts(n, alpha)
+    for u, tilt, tilts, term in (
+        (below_u, 1.0 + alpha, (-0.9, -0.5, -0.1, -0.01, -1e-3), below),
+        (above_u, 1.0 - alpha, (1e-3, 0.01, 0.1, 1.0, 10.0), above),
+    ):
+        at = _chernoff_log_term(n, u, tilt)
+        for v in (u * (1.0 - 1e-3), u * (1.0 + 1e-3)):
+            assert at <= _chernoff_log_term(n, v, tilt)
+        for v in tilts:
+            other = _chernoff_log_term(n, v, tilt)
+            assert at <= other + 1e-12 * abs(other)
+        assert term == pytest.approx(math.exp(at), rel=1e-9, abs=1e-300)
+
+
 @given(
     alpha=st.floats(min_value=0.02, max_value=0.5),
     delta=st.floats(min_value=1e-7, max_value=0.5),
@@ -238,46 +263,12 @@ def test_split_preserves_total_inconfidence(delta, p_min):
     assert d1 > 0 and d2 > 0
 
 
-@given(
-    delta=st.floats(min_value=1e-9, max_value=1.0),
-    p_min=st.floats(min_value=1e-6, max_value=1.0),
-    pairs=st.integers(min_value=1, max_value=10**6),
-)
-def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
-    budget = ctmdp_budget(delta, p_min, pairs)
-    assert budget.delta_tp == pytest.approx(budget.delta_r, rel=1e-9)
-    assert budget.delta_mp1 + budget.delta_mp2 == pytest.approx(delta)
-
-
 def test_mdp_budget_spends_everything_on_transitions():
-    budget = mdp_budget(0.1, 0.05, 1000)
-    assert budget.delta_mp == 0.1
-    assert budget.delta_tp == pytest.approx(5e-6)
-    assert budget.delta_r is None
-
-
-def test_combined_alpha_hat_worked_value():
-    assert combined_alpha_hat(0.03, 0.00084, 0.05) == pytest.approx(0.0476, abs=5e-4)
-
-
-def test_combined_alpha_hat_rejects_width_at_pmin():
-    with pytest.raises(ValueError):
-        combined_alpha_hat(0.1, 0.05, 0.05)
-
-
-def test_ctmdp_value_bounds_worked_values():
-    low, high, err = ctmdp_value_bounds(1.0, 0.05, 1.0)
-    assert low == pytest.approx(0.9048, abs=1e-4)
-    assert high == pytest.approx(1.1053, abs=1e-4)
-    assert err == pytest.approx(0.10526, abs=1e-4)
-
-
-@given(
-    v=st.floats(min_value=0.0, max_value=10.0),
-    alpha=st.floats(min_value=0.0, max_value=0.9),
-)
-def test_ctmdp_value_bounds_bracket_the_value(v, alpha):
-    low, high, err = ctmdp_value_bounds(v, alpha, 10.0)
-    assert low <= v <= high
-    assert err >= 0.0
-    assert math.isfinite(err)
+    # an MDP learner's per-pair delta_tp is delta_mp * p_min / pairs; a
+    # CTMDP learner first gives part of delta_mp to the rates
+    mdp = PartialModel(0.05, delta_mp=0.1)
+    ctmdp = PartialModel(0.05, delta_mp=0.1, ctmdp=True)
+    for partial in (mdp, ctmdp):
+        partial.counts = {(s, "a"): 0 for s in range(1000)}
+    assert mdp.current_delta_tp() == pytest.approx(5e-6)
+    assert ctmdp.current_delta_tp() < mdp.current_delta_tp()
