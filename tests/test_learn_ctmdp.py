@@ -11,6 +11,7 @@ from mppac import (
     BLACKBOX,
     LearnerConfig,
     MecRecord,
+    PartialModel,
     SampleOracle,
     boundary_rate_assignment,
     ctmdp_mec_gain,
@@ -18,7 +19,6 @@ from mppac import (
     find_mec_mp_bounds_heuristic,
     learner_rng,
     on_demand_bvi_ctmdp,
-    PartialModel,
     rate_inconfidence,
     simulate_mec,
     uniformize,
