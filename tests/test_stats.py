@@ -263,6 +263,22 @@ def test_split_preserves_total_inconfidence(delta, p_min):
     assert d1 > 0 and d2 > 0
 
 
+@given(
+    delta=st.floats(min_value=1e-9, max_value=1.0),
+    p_min=st.floats(min_value=1e-6, max_value=1.0),
+    pairs=st.integers(min_value=1, max_value=10**6),
+)
+@settings(deadline=None)
+def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
+    # the per-pair transition and rate inconfidences coincide, and the two
+    # shares of delta_mp add back up to it
+    partial = PartialModel(p_min, delta_mp=delta, ctmdp=True)
+    partial.counts = dict.fromkeys(((s, "a") for s in range(pairs)), 0)
+    assert partial.current_delta_tp() == pytest.approx(partial.current_delta_r(), rel=1e-9)
+    d1, d2 = split_mp_inconfidence(delta, p_min)
+    assert d1 + d2 == pytest.approx(delta)
+
+
 def test_mdp_budget_spends_everything_on_transitions():
     # an MDP learner's per-pair delta_tp is delta_mp * p_min / pairs; a
     # CTMDP learner first gives part of delta_mp to the rates
