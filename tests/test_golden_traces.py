@@ -49,6 +49,9 @@ CASES = {
     "two_mec-greybox-s0": ("two_mec.mdp", "greybox", 0, {}),
     "cycle_entry-blackbox-s0": ("cycle_entry.mdp", "blackbox", 0, {"epsilon_mp": 0.05}),
     "cycle_rates-blackbox-s0": ("cycle_rates.ctmdp", "blackbox", 0, {"epsilon_mp": 0.05}),
+    "cycle_rates-exact-greybox-s0": (
+        "cycle_rates.ctmdp", "greybox", 0, {"epsilon_mp": 0.05, "exact_mec_bounds": True}
+    ),
     "layered-greybox-s0": (LAYERED, "greybox", 0, {"epsilon_mp": 0.05, "episodes_per_round": 200}),
 }
 
