@@ -1,7 +1,9 @@
 """Maximal end-component decomposition and sure-EC detection.
 
-Works over any adjacency view mapping (state, action) -> successor set, so
-the same code serves full models (whitebox) and learned partial models.
+Works over any adjacency view mapping (state, action) to a collection of
+successors (a set, or a learned {successor: count} dict, whose keys are the
+successors), so the same code serves full models (whitebox) and learned
+partial models.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class MecRecord:
 
     states: frozenset[int]
     actions: dict[int, frozenset[str]]  # retained staying actions per state
-    delta_sure: bool = False
     gain_lower: float = 0.0  # scaled to [0,1] by the learner's r_max_seen
     gain_upper: float = 1.0
     has_stay: bool = False  # set once the strict sure-EC gate has passed
@@ -142,7 +143,7 @@ def is_delta_sure_ec(T, counts, post, delta_tp: float, p_min: float) -> bool:
     True iff every staying pair has count >= ec_required_samples.
 
     counts and post must cover every available action of every state in T
-    (count 0 / empty set for never-sampled actions).
+    (count 0 / no successors for never-sampled actions).
     """
     need = ec_required_samples(delta_tp, p_min)
     T = frozenset(T)
@@ -156,7 +157,7 @@ def is_delta_sure_ec(T, counts, post, delta_tp: float, p_min: float) -> bool:
 def find_delta_sure_mecs(partial, delta_tp: float, p_min: float) -> list[MecRecord]:
     """MECs of the observed graph after deleting every action sampled fewer
     than ec_required_samples times. partial is anything with ``counts``
-    ((s,a) -> int) and ``post`` ((s,a) -> observed successor set) mappings.
+    ((s,a) -> int) and ``post`` ((s,a) -> observed successors) mappings.
     """
     need = ec_required_samples(delta_tp, p_min)
     graph = {
@@ -164,10 +165,7 @@ def find_delta_sure_mecs(partial, delta_tp: float, p_min: float) -> list[MecReco
         for (s, a), ts in partial.post.items()
         if partial.counts.get((s, a), 0) >= need
     }
-    mecs = mec_decomposition(graph)
-    for m in mecs:
-        m.delta_sure = True
-    return mecs
+    return mec_decomposition(graph)
 
 
 def leaving_pairs(M: MecRecord, available, post) -> list[tuple[int, str]]:

@@ -105,26 +105,17 @@ def update_mec_value_ctmdp(
     beta: float,
     delta_tp: float | None = None,
     C: float | None = None,
-    y: float = 0.95,
 ):
     """Gain bounds of M under one concrete rate assignment: uniformize the
     observed frequencies at those rates, then run interval VI with widths
     from the counts."""
     if delta_tp is None:
         delta_tp = partial.current_delta_tp()
-    freq = {}
-    counts = {}
-    for s in M.states:
-        for a in M.actions[s]:
-            n = partial.counts[(s, a)]
-            counts[(s, a)] = n
-            freq[(s, a)] = {
-                t: partial.triples[(s, a, t)] / n for t in sorted(partial.post[(s, a)])
-            }
+    observed = {(s, a): partial.row(s, a) for s in M.states for a in M.actions[s]}
     rewards = {s: partial.scaled_reward(s) for s in M.states}
-    uni = uniformize(freq, rates, C)
-    rows = {sa: (counts[sa], tuple(sorted(uni[sa].items()))) for sa in counts}
-    return _interval_gain_vi(M, rows, rewards, delta_tp, beta, y)
+    uni = uniformize({sa: dict(freqs) for sa, (_, freqs) in observed.items()}, rates, C)
+    rows = {sa: (n, tuple(sorted(uni[sa].items()))) for sa, (n, _) in observed.items()}
+    return _interval_gain_vi(M, rows, rewards, delta_tp, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,6 @@ def find_mec_mp_bounds_exact(
     alpha_r: float,
     beta: float,
     delta_tp: float | None = None,
-    y: float = 0.95,
 ):
     """Gain bounds over all rates within relative error alpha_r: sweep the
     threshold assignments over reward-sorted states in both directions,
@@ -189,7 +179,7 @@ def find_mec_mp_bounds_exact(
                 for i, s in enumerate(order)
                 for a in M.actions[s]
             }
-            v = update_mec_value_ctmdp(M, rates, partial, beta, delta_tp, C, y)[side]
+            v = update_mec_value_ctmdp(M, rates, partial, beta, delta_tp, C)[side]
             if best is None:
                 best = v
             elif v > best if side == 1 else v < best:
@@ -209,14 +199,13 @@ def find_mec_mp_bounds_heuristic(
     alpha_r: float,
     beta: float,
     delta_tp: float | None = None,
-    y: float = 0.95,
 ):
     """Three-call approximation: estimate the gain at the plain rates, then
     slow down (speed up) the states earning at least that much to push the
     bound up (down)."""
     lam = _pair_rates(M, partial)
     C = _uniformization_rate(lam, alpha_r)
-    l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C, y)
+    l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C)
     v_hat = (l0 + u0) / 2.0
     fast = {}
     slow = {}
@@ -227,8 +216,8 @@ def find_mec_mp_bounds_heuristic(
         else:
             fast[(s, a)] = rate * (1.0 - alpha_r)
             slow[(s, a)] = rate * (1.0 + alpha_r)
-    v_l = update_mec_value_ctmdp(M, fast, partial, beta, delta_tp, C, y)[0]
-    v_u = update_mec_value_ctmdp(M, slow, partial, beta, delta_tp, C, y)[1]
+    v_l = update_mec_value_ctmdp(M, fast, partial, beta, delta_tp, C)[0]
+    v_u = update_mec_value_ctmdp(M, slow, partial, beta, delta_tp, C)[1]
     return min(v_l, v_u), max(v_l, v_u)
 
 
@@ -244,7 +233,7 @@ def _bound_mec_gain_ctmdp(M, partial, config, beta):
         achieved_rate_alpha(partial.counts[(s, a)], delta_r) for s in M.states for a in M.actions[s]
     )
     bounds = find_mec_mp_bounds_exact if config.exact_mec_bounds else find_mec_mp_bounds_heuristic
-    return bounds(M, partial, alpha_r, beta, partial.current_delta_tp(), config.aperiodicity)
+    return bounds(M, partial, alpha_r, beta, partial.current_delta_tp())
 
 
 def _refine_mec_ctmdp(M, oracle, partial, config, rng, start=None, deadline=None):

@@ -49,6 +49,10 @@ GREYBOX_UPDATES = "greybox-equations"
 # reported separately and drives only the timeout.
 VIRTUAL_STEP_SECONDS = 1e-6
 
+APERIODICITY = 0.95  # y: weight of the real rows against a virtual self-loop in MEC VI
+FIXPOINT_TOL = 1e-6  # a VI phase stops once no value moves more than this
+MEC_SAMPLE_MULTIPLIER = 5  # growth of the MEC walk's per-successor budget
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -60,12 +64,9 @@ class LearnerConfig:
     timeout_s: float = 1800.0
     seed: int = 0
     update_style: str = BLACKBOX_UPDATES  # "blackbox" | "greybox-equations"
-    aperiodicity: float = 0.95  # y: virtual self-loop weight in MEC VI
     initial_mec_samples: int = 10_000
-    mec_sample_multiplier: int = 5
     max_episode_steps: int = 0  # 0 = unbounded episodes
     anytime: bool = False  # drop the termination test, run to timeout
-    fixpoint_tol: float = 1e-6
     exact_mec_bounds: bool = False  # CTMDP only: full sweep instead of 3 VI calls
 
 
@@ -114,8 +115,8 @@ class PartialModel:
         self.ctmdp = ctmdp
         self.available: dict[int, tuple[str, ...]] = {}  # discovered states
         self.counts: dict[tuple[int, str], int] = {}  # #(s,a)
-        self.triples: dict[tuple[int, str, int], int] = {}  # #(s,a,t)
-        self.post: dict[tuple[int, str], set[int]] = {}  # observed successors
+        # post[(s,a)][t] = #(s,a,t); its keys are the observed successors
+        self.post: dict[tuple[int, str], dict[int, int]] = {}
         self.succ_total: dict[tuple[int, str], int] = {}  # greybox |post(s,a)|
         self.dwell_sum: dict[tuple[int, str], float] = {}  # CTMDP residence times
         self.rewards: dict[int, float] = {}
@@ -127,14 +128,12 @@ class PartialModel:
         self.mecs: list[MecRecord] = []
         self.stay_of: dict[int, MecRecord] = {}
         # greedy-choice memo: action values only move between rounds, so
-        # per-state argmax lists are cached until someone bumps the version
-        self.choices_version = 0
+        # per-state argmax lists are cached until invalidate_choices
         self._choice_cache: dict[int, tuple] = {}
-        self._choice_cache_version = -1
 
     def invalidate_choices(self) -> None:
         """Anything that moves act_L/act_U or a stay gain must call this."""
-        self.choices_version += 1
+        self._choice_cache.clear()
 
     # -- discovery and counting ---------------------------------------
 
@@ -146,7 +145,7 @@ class PartialModel:
         self.available[s] = av
         for a in av:
             self.counts[(s, a)] = 0
-            self.post[(s, a)] = set()
+            self.post[(s, a)] = {}
             self.act_L[(s, a)] = 0.0
             self.act_U[(s, a)] = 1.0
             if oracle.info_level == GREYBOX:
@@ -174,10 +173,18 @@ class PartialModel:
     def record_step(self, s: int, a: str, t: int, dwell: float | None = None) -> None:
         key = (s, a)
         self.counts[key] += 1
-        self.triples[(s, a, t)] = self.triples.get((s, a, t), 0) + 1
-        self.post[key].add(t)
+        succ = self.post[key]
+        succ[t] = succ.get(t, 0) + 1
         if dwell is not None:
             self.dwell_sum[key] = self.dwell_sum.get(key, 0.0) + dwell
+
+    def row(self, s: int, a: str) -> tuple[int, tuple[tuple[int, float], ...]]:
+        """(#(s,a), ((t, #(s,a,t)/#(s,a)), ...)) with successors ascending;
+        an unsampled pair gives (0, ())."""
+        n = self.counts[(s, a)]
+        if n == 0:
+            return 0, ()
+        return n, tuple((t, c / n) for t, c in sorted(self.post[(s, a)].items()))
 
     def scaled_reward(self, s: int) -> float:
         if self.r_max_seen <= 0.0:
@@ -248,12 +255,10 @@ class PartialModel:
         overlapping the new one are dropped."""
         for m in self.mecs:
             if m.key() == rec.key():
-                m.delta_sure = True
                 m.has_stay = True
                 self.rebuild_stay_of()
                 return m
         self.mecs = [m for m in self.mecs if not (m.states & rec.states)]
-        rec.delta_sure = True
         rec.has_stay = True
         self.mecs.append(rec)
         self.rebuild_stay_of()
@@ -272,8 +277,8 @@ def bellman_blackbox(s: int, a: str, partial: PartialModel, delta_tp: float):
         return 0.0, 1.0
     w = tp_width(n, delta_tp)
     low = up = mass = 0.0
-    for t in sorted(partial.post[(s, a)]):
-        th = lower_tp_estimate(partial.triples[(s, a, t)], n, w)
+    for t, c in sorted(partial.post[(s, a)].items()):
+        th = lower_tp_estimate(c, n, w)
         mass += th
         low += th * partial.L[t]
         up += th * partial.U[t]
@@ -287,16 +292,16 @@ def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
     if n == 0:
         return 0.0, 1.0
     w = tp_width(n, delta_tp)
-    seen = sorted(partial.post[(s, a)])
+    seen = sorted(partial.post[(s, a)].items())
     low = up = mass = 0.0
-    for t in seen:
-        th = lower_tp_estimate(partial.triples[(s, a, t)], n, w)
+    for t, c in seen:
+        th = lower_tp_estimate(c, n, w)
         mass += th
         low += th * partial.L[t]
         up += th * partial.U[t]
     resid = 1.0 - mass
-    low += resid * min(partial.L[t] for t in seen)
-    up += resid * max(partial.U[t] for t in seen)
+    low += resid * min(partial.L[t] for t, _ in seen)
+    up += resid * max(partial.U[t] for t, _ in seen)
     return low, up
 
 
@@ -364,7 +369,7 @@ class _Rows:
 class _Estimates(_Rows):
     """The frozen rows of one value-iteration phase, packed into arrays.
 
-    Counts, successor sets and stay gains do not move during a phase, only
+    Observation counts and stay gains do not move during a phase, only
     L and U do. Value slots 0..n-1 are the discovered states in
     ``partial.available`` order; every other successor (the pseudo-states,
     and undiscovered states in hand-built partials) gets a slot after them
@@ -375,14 +380,7 @@ class _Estimates(_Rows):
         self.states = list(partial.available)
         self.pairs = [(s, a) for s in self.states for a in partial.available[s]]
         slot = {s: i for i, s in enumerate(self.states)}
-        rows = []
-        for s, a in self.pairs:
-            n = partial.counts[(s, a)]
-            if n == 0:
-                rows.append((0, (), False))
-                continue
-            freqs = tuple((t, partial.triples[(s, a, t)] / n) for t in sorted(partial.post[(s, a)]))
-            rows.append((n, freqs, partial.grey_equations(s, a, style)))
+        rows = [(*partial.row(s, a), partial.grey_equations(s, a, style)) for s, a in self.pairs]
         per_state = [len(partial.available[s]) for s in self.states]
         super().__init__(rows, per_state, slot, partial.current_delta_tp())
         self.fixed = list(slot)[len(self.states):]
@@ -509,7 +507,7 @@ def deflate(M: MecRecord, partial: PartialModel) -> float:
     return moved
 
 
-def _vi_phase(partial: PartialModel, config: LearnerConfig) -> None:
+def _vi_phase(partial: PartialModel) -> None:
     """Reinitialize L/U and iterate sweep + deflate to the fixpoint.
 
     Convergence is judged on the values after deflation: the sweep alone can
@@ -529,7 +527,7 @@ def _vi_phase(partial: PartialModel, config: LearnerConfig) -> None:
         est.deflate(pair_u, new_u)
         moved = _movement(L, U, new_l, new_u, n)
         L, U = new_l, new_u
-        if moved <= config.fixpoint_tol:
+        if moved <= FIXPOINT_TOL:
             est.store(partial, L, U, pair_l, pair_u)
             partial.invalidate_choices()
             return
@@ -543,12 +541,9 @@ def _choose_action(s: int, partial: PartialModel, rng):
     """Uniformly among the actions maximizing the upper value, narrowed by
     the lower value; the draw runs over a label-sorted list so equal seeds
     give equal choices. The label list per state is memoized until the
-    underlying values move (choices_version), which spares recomputing the
-    argmax on every step of every episode in a round."""
+    underlying values move (invalidate_choices), which spares recomputing
+    the argmax on every step of every episode in a round."""
     cache = partial._choice_cache
-    if partial._choice_cache_version != partial.choices_version:
-        cache.clear()
-        partial._choice_cache_version = partial.choices_version
     labels = cache.get(s)
     if labels is None:
         cands = []
@@ -599,16 +594,13 @@ def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
         for a in partial.available[q]:
             if partial.counts[(q, a)] >= need:
                 ts = partial.post[(q, a)]
-                if ts and ts <= px:
+                if ts and ts.keys() <= px:
                     graph[(q, a)] = frozenset(ts)
     for m in mec_decomposition(graph):
         if s in m.states:
             # the gate reads only pairs of m's states, which all lie on the path
             own = {(q, a): partial.post[(q, a)] for q in m.states for a in partial.available[q]}
-            if is_delta_sure_ec(m.states, partial.counts, own, delta_tp, p_min):
-                m.delta_sure = True
-                return m
-            return None
+            return m if is_delta_sure_ec(m.states, partial.counts, own, delta_tp, p_min) else None
     return None
 
 
@@ -664,7 +656,7 @@ def compute_n_samples(M: MecRecord, partial: PartialModel, config: LearnerConfig
     least = min(partial.counts[(s, a)] for s in M.states for a in M.actions[s])
     n = config.initial_mec_samples
     while n <= least:
-        n *= config.mec_sample_multiplier
+        n *= MEC_SAMPLE_MULTIPLIER
     return n
 
 
@@ -672,12 +664,10 @@ def simulate_mec(
     M: MecRecord, oracle, n_samples: int, rng, partial: PartialModel, start: int, deadline=None
 ) -> bool:
     """Uniform-action random walk inside M for n_samples times the number of
-    observed (s,a,t) triples. Returns False if a step escapes M — the record
-    is then stale and must be dropped by the caller."""
-    n_triples = sum(
-        1 for (s, a, t) in partial.triples if s in M.states and a in M.actions.get(s, ())
-    )
-    steps = n_samples * max(1, n_triples)
+    observed successors of M's pairs. Returns False if a step escapes M — the
+    record is then stale and must be dropped by the caller."""
+    n_succ = sum(len(partial.post[(s, a)]) for s in M.states for a in M.actions[s])
+    steps = n_samples * max(1, n_succ)
     acts = {s: sorted(M.actions[s]) for s in M.states}
     # this loop dominates refinement time, so record_step is inlined and the
     # uniform draw skipped when there is only one action to draw from
@@ -686,7 +676,6 @@ def simulate_mec(
     rand = rng.random
     monotonic = time.monotonic
     counts = partial.counts
-    triples = partial.triples
     post = partial.post
     dwell_sum = partial.dwell_sum
     s = start
@@ -698,9 +687,8 @@ def simulate_mec(
         t, dwell = sample(s, a)
         key = (s, a)
         counts[key] += 1
-        tk = (s, a, t)
-        triples[tk] = triples.get(tk, 0) + 1
-        post[key].add(t)
+        succ = post[key]
+        succ[t] = succ.get(t, 0) + 1
         if dwell is not None:
             dwell_sum[key] = dwell_sum.get(key, 0.0) + dwell
         if t not in states:
@@ -710,15 +698,16 @@ def simulate_mec(
     return True
 
 
-def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float, y: float):
+def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float):
     """Interval value iteration for the gain of a (presumed) MEC.
 
-    rows maps (s,a) to (count, ((t, frequency), ...)) and runs through the
-    phase's row kernel (_Rows) with residual mass to the worst/best seen
-    successor. A virtual self-loop of mass 1-y forces aperiodicity without
-    changing the gain. Iterates until both update-difference spans are
-    below beta; the lower gain is the smallest lower difference, the upper
-    gain the largest upper difference, clamped to [0,1].
+    rows maps (s,a) to (count, ((t, frequency), ...)), as PartialModel.row
+    gives them, and runs through the phase's row kernel (_Rows) with
+    residual mass to the worst/best seen successor. A virtual self-loop of
+    mass 1-APERIODICITY forces aperiodicity without changing the gain.
+    Iterates until both update-difference spans are below beta; the lower
+    gain is the smallest lower difference, the upper gain the largest upper
+    difference, clamped to [0,1].
     """
     beta = max(beta, 1e-9)
     states = sorted(M.states)
@@ -732,6 +721,7 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float,
     r = np.array([rewards[s] for s in states], dtype=float)
     l = np.zeros(len(states))
     u = np.zeros(len(states))
+    y = APERIODICITY
     while True:
         pl, pu = packed.bounds(l, u)
         newl = r + y * packed.best(pl) + (1.0 - y) * l
@@ -745,20 +735,13 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float,
             return gl, max(gl, gu)
 
 
-def mec_value_iteration(
-    M: MecRecord, partial: PartialModel, delta_tp: float, beta: float, y: float = 0.95
-):
+def mec_value_iteration(M: MecRecord, partial: PartialModel, delta_tp: float, beta: float):
     """Gain bounds for M from the current counts (rewards scaled to [0,1] by
     r_max_seen). Residual-to-seen-extremes updates are always used here: a
     sure MEC's support is known with the certified confidence."""
-    rows = {}
-    for s in M.states:
-        for a in M.actions[s]:
-            n = partial.counts[(s, a)]
-            seen = sorted(partial.post[(s, a)])
-            rows[(s, a)] = (n, tuple((t, partial.triples[(s, a, t)] / n) for t in seen))
+    rows = {(s, a): partial.row(s, a) for s in M.states for a in M.actions[s]}
     rewards = {s: partial.scaled_reward(s) for s in M.states}
-    return _interval_gain_vi(M, rows, rewards, delta_tp, beta, y)
+    return _interval_gain_vi(M, rows, rewards, delta_tp, beta)
 
 
 def _tighten(M: MecRecord, gl: float, gu: float) -> None:
@@ -773,9 +756,8 @@ def _tighten(M: MecRecord, gl: float, gu: float) -> None:
 
 
 def drop_stale_record(M: MecRecord, partial: PartialModel) -> None:
-    """A walk escaped M: its staying-action evidence was wrong, so the
-    record loses sure status and its stay action."""
-    M.delta_sure = False
+    """A retained pair of M was seen leaving it, by an episode or a walk: its
+    staying-action evidence was wrong, so the record loses its stay action."""
     M.has_stay = False
     partial.mecs = [m for m in partial.mecs if m is not M]
     partial.rebuild_stay_of()
@@ -783,7 +765,7 @@ def drop_stale_record(M: MecRecord, partial: PartialModel) -> None:
 
 def _bound_mec_gain(M: MecRecord, partial: PartialModel, config: LearnerConfig, beta: float):
     """MDP gain bounder for update_mec_value: interval VI at the current counts."""
-    return mec_value_iteration(M, partial, partial.current_delta_tp(), beta, config.aperiodicity)
+    return mec_value_iteration(M, partial, partial.current_delta_tp(), beta)
 
 
 def update_mec_value(
@@ -806,13 +788,17 @@ def update_mec_value(
     sampling walk with its escalating budget therefore only runs when the
     bounds at the current counts leave the gap too wide, i.e. when the
     count-driven width floor is the binding constraint. Returns the new
-    bounds, or None if the walk escaped M (stale record, dropped).
+    bounds, or None if M is stale and was dropped: a retained pair was seen
+    leaving M, by an episode since the record was confirmed or by the walk.
     """
 
     def refit():
         _tighten(M, *bound(M, partial, config, (M.gain_upper - M.gain_lower) / 2.0))
         partial.invalidate_choices()
 
+    if any(t not in M.states for s in M.states for a in M.actions[s] for t in partial.post[(s, a)]):
+        drop_stale_record(M, partial)
+        return None
     refit()
     if not _needs_refinement(M, partial, config):
         return M.gain_lower, M.gain_upper
@@ -884,7 +870,7 @@ def _learn(oracle, config: LearnerConfig, refine, ctmdp: bool) -> BoundsReport:
 
         fresh = find_delta_sure_mecs(partial, partial.current_delta_tp(), partial.p_min)
         partial.reconcile_mecs(fresh)
-        _vi_phase(partial, config)
+        _vi_phase(partial)
         low = partial.L[oracle.init]
         up = partial.U[oracle.init]
         trace.append((oracle.steps_sampled * VIRTUAL_STEP_SECONDS, episodes, low, up))

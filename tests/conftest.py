@@ -70,7 +70,7 @@ def frozen_partial(
     """PartialModel with hand-frozen observation counts.
 
     triples maps (s, a, t) -> observation count; available actions, pair
-    counts, and observed successor sets are derived from it. counts may
+    counts, and the per-pair successor counts in post are derived from it. counts may
     override the per-pair totals (to model observations whose successor
     breakdown the test does not care about).
     """
@@ -93,8 +93,7 @@ def frozen_partial(
     for (s, a, t), n in triples.items():
         key = (s, a)
         partial.counts[key] = partial.counts.get(key, 0) + n
-        partial.triples[(s, a, t)] = n
-        partial.post.setdefault(key, set()).add(t)
+        partial.post.setdefault(key, {})[t] = n
         partial.act_L[key] = 0.0
         partial.act_U[key] = 1.0
     if counts:

@@ -239,7 +239,6 @@ def test_mec_gain_is_invariant_in_the_uniformization_constant():
     M = MecRecord(
         states=frozenset({0, 1}),
         actions={0: frozenset({"a"}), 1: frozenset({"a"})},
-        delta_sure=True,
     )
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
     beta = 1e-6
@@ -397,7 +396,6 @@ def test_rate_sweep_contains_the_corner_extrema():
         M = MecRecord(
             states=frozenset({0, 1, 2}),
             actions={s: frozenset({"a"}) for s in range(3)},
-            delta_sure=True,
         )
         low, up = find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp=1.0)
         corners = [

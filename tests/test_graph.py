@@ -200,7 +200,6 @@ def test_find_sure_mecs_filters_under_sampled_rows():
     )
     mecs = find_delta_sure_mecs(partial, 0.1, 0.1)
     assert [m.states for m in mecs] == [frozenset({0, 1})]
-    assert all(m.delta_sure for m in mecs)
 
 
 def test_find_sure_mecs_empty_before_sampling():
@@ -214,7 +213,7 @@ def test_find_sure_mecs_grows_with_counts():
     partial = frozen_partial(triples, rewards={0: 0.0, 1: 0.0, 2: 1.0}, p_min=0.1)
     before = {frozenset(m.states) for m in find_delta_sure_mecs(partial, 0.1, 0.1)}
     partial.counts[(2, "a")] = 22
-    partial.triples[(2, "a", 2)] = 22
+    partial.post[(2, "a")][2] = 22
     after = {frozenset(m.states) for m in find_delta_sure_mecs(partial, 0.1, 0.1)}
     assert before <= after
     assert frozenset({2}) in after - before

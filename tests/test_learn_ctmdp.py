@@ -54,7 +54,6 @@ def _cycle_mec():
     return MecRecord(
         states=frozenset({0, 1}),
         actions={0: frozenset({"a"}), 1: frozenset({"a"})},
-        delta_sure=True,
     )
 
 
@@ -210,6 +209,29 @@ def test_simulate_mec_ctmdp_reports_escape(cycle_rates):
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
     M = MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})})
     assert simulate_mec(M, oracle, 10, learner_rng(0), partial, start=0) is False
+
+
+def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
+    from mppac.learn_ctmdp import _refine_mec_ctmdp
+
+    # (0, 'a') was seen reaching state 2 outside M after M was confirmed
+    partial = frozen_partial(
+        {(0, "a", 1): 30, (0, "a", 2): 1, (1, "a", 0): 30},
+        rewards={0: 1.0, 1: 0.0},
+        p_min=0.25,
+        dwell_sums={(0, "a"): 15.0, (1, "a"): 30.0},
+        ctmdp=True,
+    )
+    M = _cycle_mec()
+    M.has_stay = True
+    partial.mecs.append(M)
+    partial.rebuild_stay_of()
+    oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
+    out = _refine_mec_ctmdp(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0)
+    assert out is None
+    assert M not in partial.mecs
+    assert partial.stay_of.get(0) is None
+    assert oracle.steps_sampled == 0
 
 
 def _partial_with_pairs(delta, p_min, pairs, ctmdp):

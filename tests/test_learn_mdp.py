@@ -3,6 +3,7 @@ refinement, deflation, and the end-to-end PAC loop."""
 
 from __future__ import annotations
 
+import copy
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mppac import (
     BLACKBOX,
+    CTMDP,
     GREYBOX,
     BLACKBOX_UPDATES,
     GREYBOX_UPDATES,
@@ -20,6 +22,7 @@ from mppac import (
     UNKNOWN,
     LearnerConfig,
     MecRecord,
+    PartialModel,
     SampleOracle,
     bellman_blackbox,
     bellman_greybox,
@@ -27,6 +30,7 @@ from mppac import (
     deflate,
     global_update,
     learner_rng,
+    load_model,
     looping,
     mec_value_iteration,
     on_demand_bvi,
@@ -276,7 +280,7 @@ def test_looping_confirms_a_fully_sampled_cycle():
     rec = looping([1, 2, 1, 2, 1], 1, partial, delta_tp=0.1, p_min=0.1)
     assert rec is not None
     assert rec.states == frozenset({1, 2})
-    assert rec.delta_sure
+    assert rec.actions == {1: frozenset({"a"}), 2: frozenset({"b"})}
 
 
 def test_looping_rejects_an_under_sampled_cycle():
@@ -343,7 +347,7 @@ def test_adopt_drops_overlapping_stale_records():
     adopted = partial.adopt_looping_record(fresh)
     assert stale not in partial.mecs
     assert adopted in partial.mecs
-    assert adopted.has_stay and adopted.delta_sure
+    assert adopted is fresh and adopted.has_stay
     assert partial.stay_of[1] is adopted
     assert partial.stay_of[2] is adopted
 
@@ -365,7 +369,6 @@ def _cycle_record(**kw):
     return MecRecord(
         states=frozenset({1, 2}),
         actions={1: frozenset({"a"}), 2: frozenset({"b"})},
-        delta_sure=True,
         **kw,
     )
 
@@ -388,7 +391,7 @@ def test_simulate_mec_walks_the_stated_step_count(cycle_entry):
     )
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=0)
     M = _cycle_record()
-    # two observed triples: n_samples * 2 steps in total
+    # two observed successors: n_samples * 2 steps in total
     assert simulate_mec(M, oracle, 5, learner_rng(0), partial, start=1)
     assert partial.counts[(1, "a")] + partial.counts[(2, "b")] == 2 + 10
     assert oracle.steps_sampled == 10
@@ -401,7 +404,7 @@ def test_simulate_mec_reports_escape(random5):
         p_min=0.25,
     )
     oracle = SampleOracle(random5, BLACKBOX, rng_seed=3)
-    M = MecRecord(states=frozenset({1}), actions={1: frozenset({"x"})}, delta_sure=True)
+    M = MecRecord(states=frozenset({1}), actions={1: frozenset({"x"})})
     assert not simulate_mec(M, oracle, 50, learner_rng(3), partial, start=1)
     assert 2 in partial.available  # the escape target was discovered
 
@@ -415,6 +418,48 @@ def test_simulate_mec_respects_a_passed_deadline(cycle_entry):
         M, oracle, 10_000, learner_rng(0), partial, 1, deadline=time.monotonic() - 1.0
     )
     assert partial.counts == before  # out of time before the first step
+
+
+class _LoggingOracle(SampleOracle):
+    """SampleOracle that logs every sampled step as (s, a, successor, dwell)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def sample_step(self, s, a):
+        step = super().sample_step(s, a)
+        self.log.append((s, a, *step))
+        return step
+
+
+@pytest.mark.parametrize(
+    "model_file, actions, seed",
+    [
+        ("cycle_entry.mdp", {1: "a", 2: "b"}, 0),
+        ("cycle_rates.ctmdp", {0: "a", 1: "a"}, 0),  # dwell times
+        ("random5.mdp", {1: "x"}, 3),  # escapes to an undiscovered state
+    ],
+)
+def test_simulate_mec_records_steps_as_record_step_does(models_dir, model_file, actions, seed):
+    # the walk inlines record_step; replaying its steps through record_step
+    # (and discover, for an escape target) must give the same observations
+    model = load_model(models_dir / model_file)
+    oracle = _LoggingOracle(model, BLACKBOX, rng_seed=seed)
+    partial = PartialModel(model.p_min, ctmdp=model.kind == CTMDP)
+    for s in actions:
+        partial.discover(s, oracle)
+    replay = copy.deepcopy(partial)
+    M = MecRecord(states=frozenset(actions), actions={s: frozenset({a}) for s, a in actions.items()})
+    simulate_mec(M, oracle, 50, learner_rng(seed), partial, start=min(actions))
+    assert oracle.log
+    for s, a, t, dwell in oracle.log:
+        replay.record_step(s, a, t, dwell)
+        replay.discover(t, oracle)
+    assert replay.counts == partial.counts
+    assert replay.post == partial.post
+    assert replay.dwell_sum == partial.dwell_sum
+    assert replay.available == partial.available
 
 
 def _loop_interval_gain_vi(M, rows, rewards, delta_tp, beta, y):
@@ -477,7 +522,7 @@ def _mec_rows(draw):
 
 @given(_mec_rows())
 def test_interval_gain_vi_equals_the_per_row_loop_exactly(case):
-    assert _interval_gain_vi(*case, 0.95) == _loop_interval_gain_vi(*case, 0.95)
+    assert _interval_gain_vi(*case) == _loop_interval_gain_vi(*case, 0.95)
 
 
 def test_mec_value_iteration_self_loop_is_exact():
@@ -587,7 +632,6 @@ def test_update_mec_value_drops_record_on_escape(random5):
     M = MecRecord(
         states=frozenset({1, 2}),
         actions={1: frozenset({"x", "y"}), 2: frozenset({"x"})},
-        delta_sure=True,
         has_stay=True,
     )
     partial.mecs.append(M)
@@ -599,6 +643,30 @@ def test_update_mec_value_drops_record_on_escape(random5):
     assert not M.has_stay
     assert partial.stay_of.get(1) is None
     assert 0 in partial.available  # the walk discovered the true successor
+
+
+def test_update_mec_value_drops_a_record_whose_pair_was_seen_leaving(cycle_entry):
+    # an episode since the record was confirmed saw its retained pair (0, 'a')
+    # reach state 2 outside M: the record is stale before any walk
+    partial = frozen_partial(
+        {(0, "a", 1): 30, (0, "a", 2): 1, (1, "b", 0): 30},
+        rewards={0: 1.0, 1: 0.0},
+        p_min=0.25,
+    )
+    M = MecRecord(
+        states=frozenset({0, 1}),
+        actions={0: frozenset({"a"}), 1: frozenset({"b"})},
+        has_stay=True,
+    )
+    partial.mecs.append(M)
+    partial.rebuild_stay_of()
+    oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=0)
+    out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0)
+    assert out is None
+    assert M not in partial.mecs
+    assert not M.has_stay
+    assert partial.stay_of.get(0) is None
+    assert oracle.steps_sampled == 0  # dropped without a walk
 
 
 # ---------------------------------------------------------------------------
