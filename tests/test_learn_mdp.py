@@ -434,14 +434,16 @@ class _LoggingOracle(SampleOracle):
 
 
 @pytest.mark.parametrize(
-    "model_file, actions, seed",
+    "model_file, actions, seed, stays",
     [
-        ("cycle_entry.mdp", {1: "a", 2: "b"}, 0),
-        ("cycle_rates.ctmdp", {0: "a", 1: "a"}, 0),  # dwell times
-        ("random5.mdp", {1: "x"}, 3),  # escapes to an undiscovered state
+        ("cycle_entry.mdp", {1: "a", 2: "b"}, 0, True),
+        ("cycle_rates.ctmdp", {0: "a", 1: "a"}, 0, True),  # dwell times
+        ("random5.mdp", {1: "x"}, 3, False),  # escapes to an undiscovered state
     ],
 )
-def test_simulate_mec_records_steps_as_record_step_does(models_dir, model_file, actions, seed):
+def test_simulate_mec_records_steps_as_record_step_does(
+    models_dir, model_file, actions, seed, stays
+):
     # the walk inlines record_step; replaying its steps through record_step
     # (and discover, for an escape target) must give the same observations
     model = load_model(models_dir / model_file)
@@ -451,7 +453,7 @@ def test_simulate_mec_records_steps_as_record_step_does(models_dir, model_file, 
         partial.discover(s, oracle)
     replay = copy.deepcopy(partial)
     M = MecRecord(states=frozenset(actions), actions={s: frozenset({a}) for s, a in actions.items()})
-    simulate_mec(M, oracle, 50, learner_rng(seed), partial, start=min(actions))
+    assert simulate_mec(M, oracle, 50, learner_rng(seed), partial, start=min(actions)) is stays
     assert oracle.log
     for s, a, t, dwell in oracle.log:
         replay.record_step(s, a, t, dwell)
