@@ -28,18 +28,20 @@ from mppac import (
     bellman_greybox,
     compute_n_samples,
     deflate,
+    find_delta_sure_mecs,
     global_update,
     learner_rng,
     load_model,
     looping,
     mec_value_iteration,
     on_demand_bvi,
+    on_demand_bvi_ctmdp,
     simulate_episode,
     simulate_mec,
     stay_distribution,
     update_mec_value,
 )
-from mppac.learn_mdp import TERMINALS, _choose_action, _Estimates, _interval_gain_vi, _sweep_once
+from mppac.learn_mdp import TERMINALS, _choose_action, _Estimates, _interval_gain_vi, _sweep_once, _vi_phase
 from mppac.stats import tp_width
 
 from .conftest import frozen_partial
@@ -350,6 +352,113 @@ def test_adopt_drops_overlapping_stale_records():
     assert adopted is fresh and adopted.has_stay
     assert partial.stay_of[1] is adopted
     assert partial.stay_of[2] is adopted
+
+
+def _sure_cycle_partial(extra=None):
+    # 60 samples per pair clear the sure-EC gate at these settings (51 needed)
+    return frozen_partial(
+        {(1, "a", 2): 60, (2, "b", 1): 60, **(extra or {})},
+        rewards={1: 1.0, 2: 0.0},
+        p_min=0.1,
+    )
+
+
+def _reconcile(partial):
+    fresh = find_delta_sure_mecs(partial, partial.current_delta_tp(), partial.p_min)
+    assert fresh, "the cycle must be a sure MEC"
+    partial.reconcile_mecs(fresh)
+    return fresh
+
+
+def test_reconcile_keeps_the_stay_of_an_unchanged_mec():
+    partial = _sure_cycle_partial()
+    partial.adopt_looping_record(
+        MecRecord(
+            states=frozenset({1, 2}),
+            actions={1: frozenset({"a"}), 2: frozenset({"b"})},
+            gain_lower=0.3,
+            gain_upper=0.6,
+        )
+    )
+    _reconcile(partial)
+    for s in (1, 2):
+        assert (partial.stay_of[s].gain_lower, partial.stay_of[s].gain_upper) == (0.3, 0.6)
+
+
+@pytest.mark.parametrize(
+    "held",
+    [
+        # fewer states than this round's MEC
+        MecRecord(states=frozenset({1}), actions={1: frozenset({"a"})}, gain_lower=0.3, gain_upper=0.6),
+        # the same states, but the MEC now also retains (1, 'c')
+        MecRecord(
+            states=frozenset({1, 2}),
+            actions={1: frozenset({"a"}), 2: frozenset({"b"})},
+            gain_lower=0.3,
+            gain_upper=0.6,
+        ),
+    ],
+    ids=["states", "actions"],
+)
+def test_reconcile_drops_the_stay_of_a_changed_mec(held):
+    partial = _sure_cycle_partial({(1, "c", 1): 60})
+    partial.adopt_looping_record(copy.deepcopy(held))
+    assert partial.stay_of[1].gain_lower == 0.3
+    _reconcile(partial)
+    assert partial.stay_of == {}
+    assert _choose_action(1, partial, learner_rng(0)) != STAY
+
+
+def test_reconcile_gives_no_stay_to_an_unconfirmed_sure_mec():
+    partial = _sure_cycle_partial()
+    _reconcile(partial)
+    assert partial.stay_of == {}
+    _vi_phase(partial)
+    # without a stay, the closed cycle keeps its vacuous upper bound
+    assert (partial.L[1], partial.U[1]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "cycle_rates.ctmdp"])
+def test_looping_records_are_new_and_held_records_partition_stay_of(models_dir, monkeypatch, model_file):
+    # simulate_episode runs looping only at a state without a stay, and the
+    # record it confirms contains that state: no held record shares its key
+    import mppac.learn_mdp as learn_mdp
+
+    looped, adopted, rounds = [], [], []
+    original_looping = learn_mdp.looping
+    adopt = PartialModel.adopt_looping_record
+    reconcile = PartialModel.reconcile_mecs
+
+    def held_records_partition_stay_of(partial):
+        held = [s for m in partial.mecs for s in m.states]
+        assert len(held) == len(set(held))
+        assert partial.stay_of == {s: m for m in partial.mecs for s in m.states}
+
+    def checked_looping(path, s, partial, *args):
+        assert s not in partial.stay_of
+        looped.append(s)
+        return original_looping(path, s, partial, *args)
+
+    def checked_adopt(partial, rec):
+        assert looped[-1] in rec.states
+        assert rec.key() not in {m.key() for m in partial.stay_of.values()}
+        adopt(partial, rec)
+        adopted.append(rec)
+        held_records_partition_stay_of(partial)
+
+    def checked_reconcile(partial, fresh):
+        reconcile(partial, fresh)
+        rounds.append(len(partial.mecs))
+        held_records_partition_stay_of(partial)
+
+    monkeypatch.setattr(learn_mdp, "looping", checked_looping)
+    monkeypatch.setattr(PartialModel, "adopt_looping_record", checked_adopt)
+    monkeypatch.setattr(PartialModel, "reconcile_mecs", checked_reconcile)
+    model = load_model(models_dir / model_file)
+    oracle = SampleOracle(model, BLACKBOX, rng_seed=1)
+    learn = on_demand_bvi_ctmdp if model.kind == CTMDP else on_demand_bvi
+    learn(oracle, LearnerConfig(seed=1, epsilon_mp=0.1, episodes_per_round=500, timeout_s=60.0))
+    assert adopted and rounds
 
 
 # ---------------------------------------------------------------------------
