@@ -15,65 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from mppac.cli import MODES, RunConfig, _run_one
+from mppac.cli import MODES, RunConfig, _run_one, _write_svg
 from mppac.learn_mdp import LearnerConfig
 from mppac.model import load_model
 from mppac.whitebox import exact_mean_payoff
-
-# one (stroke, dash) pair per mode; lower bounds drawn dashed
-COLORS = {"blackbox": "#2471a3", "blackbox-grey-updates": "#b9770e", "greybox": "#1e8449"}
-
-
-def overlay_svg(path, traces, r_max):
-    """Write an SVG with a lower and an upper polyline per labelled trace."""
-    width, height = 860, 500
-    ml, mr, mt, mb = 64.0, 16.0, 16.0, 48.0
-    plot_w, plot_h = width - ml - mr, height - mt - mb
-    t_max = max((row[0] for rows in traces.values() for row in rows), default=1.0) or 1.0
-
-    def x(t):
-        return ml + plot_w * t / t_max
-
-    def y(v):
-        return mt + plot_h * (1.0 - min(1.0, max(0.0, v)))
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + plot_h}" stroke="black"/>',
-        f'<line x1="{ml}" y1="{mt + plot_h}" x2="{ml + plot_w}" y2="{mt + plot_h}" stroke="black"/>',
-    ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        yy = y(frac)
-        parts.append(f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end">{frac:g}</text>')
-        xx = x(frac * t_max)
-        parts.append(
-            f'<text x="{xx:.2f}" y="{mt + plot_h + 18:.2f}" text-anchor="middle">'
-            f"{frac * t_max:.3g}</text>"
-        )
-    parts.append(
-        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 10}" text-anchor="middle">'
-        "trace seconds</text>"
-    )
-    legend_y = mt + 16
-    for label, rows in traces.items():
-        color = COLORS[label]
-        for idx, dash in ((3, ""), (2, ' stroke-dasharray="5 3"')):
-            pts = " ".join(f"{x(r[0]):.2f},{y(r[idx]):.2f}" for r in rows)
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"{dash}/>'
-            )
-        parts.append(f'<text x="{ml + 10}" y="{legend_y}" fill="{color}">{label}</text>')
-        legend_y += 16
-    parts.append(
-        f'<text x="{ml + 10}" y="{legend_y}">solid: upper, dashed: lower '
-        f"(scaled by r_max {r_max:g})</text>"
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
 
 
 def main(argv=None) -> int:
@@ -98,20 +43,18 @@ def main(argv=None) -> int:
         timeout_s=args.timeout_s,
     )
     traces = {}
-    r_max = 0.0
     for mode in MODES:
         config = RunConfig(model_path=args.model, mode=mode, learner=learner)
         report = _run_one(model, config, args.seed)
         traces[mode] = report.trace
-        r_max = max(r_max, report.r_max_seen)
         low, up = report.final
         inside = "yes" if low - 1e-9 <= reference <= up + 1e-9 else "NO"
         print(
             f"{mode:22s} [{low:.5f}, {up:.5f}] width {up - low:.5f} "
             f"episodes {report.episodes:>8d} wall {report.wall_seconds:6.1f}s "
-            f"covers: {inside}"
+            f"r_max seen {report.r_max_seen:g} covers: {inside}"
         )
-    overlay_svg(args.out, traces, r_max)
+    _write_svg(args.out, traces)
     print(f"wrote {args.out}")
     return 0
 

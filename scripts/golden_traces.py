@@ -6,8 +6,8 @@ each records the repr of the trace, final interval, episodes, rounds and
 oracle steps.
 
 Example, from the repository root:
-    PYTHONPATH=src python scripts/golden_traces.py --check
-    PYTHONPATH=src python scripts/golden_traces.py --write
+    python scripts/golden_traces.py --check
+    python scripts/golden_traces.py --write
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     action.add_argument("--check", action="store_true", help="compare the current code's runs to the file")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, ROOT)
+    sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     from tests.test_golden_traces import CASES, GOLDEN, load_golden, run_case
 
     runs = {name: run_case(name) for name in sorted(CASES)}

@@ -24,7 +24,6 @@ from .graph import (
 )
 from .learn_ctmdp import (
     boundary_rate_assignment,
-    ctmdp_mec_gain,
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
     on_demand_bvi_ctmdp,
@@ -37,17 +36,12 @@ from .learn_mdp import (
     BoundsReport,
     LearnerConfig,
     PartialModel,
-    bellman_blackbox,
-    bellman_greybox,
     compute_n_samples,
-    deflate,
-    global_update,
     looping,
     mec_value_iteration,
     on_demand_bvi,
     simulate_episode,
     simulate_mec,
-    stay_distribution,
     update_mec_value,
 )
 from .model import (
@@ -67,14 +61,10 @@ from .model import (
     parse_model,
 )
 from .stats import (
-    chernoff_minimizers,
     ec_required_samples,
-    estimate_rate,
     greybox_miss_probability,
     lower_tp_estimate,
     rate_inconfidence,
-    rate_inconfidence_parts,
-    rate_interval,
     rate_samples,
     split_mp_inconfidence,
     tp_inconfidence,

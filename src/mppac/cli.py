@@ -66,15 +66,19 @@ def _write_csv(path: str, report: BoundsReport) -> None:
             fh.write(f"{t:.6f},{episodes},{low!r},{up!r}\n")
 
 
-def _write_svg(path: str, report: BoundsReport) -> None:
-    """Self-contained convergence plot: scaled lower/upper bounds against
-    the trace clock, no external assets."""
+# stroke colour of each trace, in order; a trace's lower bound is dashed
+SVG_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b9770e")
+
+
+def _write_svg(path: str, traces: dict) -> None:
+    """Self-contained convergence plot of {label: trace}: each trace's scaled
+    upper (solid) and lower (dashed) bounds against the trace clock, no
+    external assets."""
     width, height = 800, 480
     ml, mr, mt, mb = 64.0, 16.0, 16.0, 48.0
     plot_w = width - ml - mr
     plot_h = height - mt - mb
-    rows = report.trace
-    t_max = max((row[0] for row in rows), default=1.0) or 1.0
+    t_max = max((row[0] for rows in traces.values() for row in rows), default=1.0) or 1.0
 
     def x(t: float) -> float:
         return ml + plot_w * t / t_max
@@ -82,14 +86,14 @@ def _write_svg(path: str, report: BoundsReport) -> None:
     def y(v: float) -> float:
         return mt + plot_h * (1.0 - min(1.0, max(0.0, v)))
 
-    def polyline(idx: int, color: str) -> str:
+    def polyline(rows, idx: int, color: str, dash: str) -> str:
         pts = " ".join(f"{x(row[0]):.2f},{y(row[idx]):.2f}" for row in rows)
         dots = "".join(
             f'<circle cx="{x(row[0]):.2f}" cy="{y(row[idx]):.2f}" r="2.5" fill="{color}"/>'
             for row in rows
         )
         return (
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
             + dots
         )
 
@@ -113,18 +117,20 @@ def _write_svg(path: str, report: BoundsReport) -> None:
             f'<text x="{xx:.2f}" y="{mt + plot_h + 18:.2f}" text-anchor="middle">{tt:.3g}</text>'
         )
     parts.append(
-        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 10}" text-anchor="middle">seconds</text>'
+        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 10}" text-anchor="middle">trace seconds</text>'
     )
     parts.append(
         f'<text x="16" y="{mt + plot_h / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {mt + plot_h / 2:.2f})">scaled value</text>'
     )
-    parts.append(polyline(3, "#c0392b"))
-    parts.append(polyline(2, "#2471a3"))
-    parts.append(
-        f'<text x="{ml + 10}" y="{mt + 16}" fill="#c0392b">upper bound</text>'
-        f'<text x="{ml + 10}" y="{mt + 32}" fill="#2471a3">lower bound</text>'
-    )
+    legend_y = mt + 16
+    for i, (label, rows) in enumerate(traces.items()):
+        color = SVG_COLORS[i % len(SVG_COLORS)]
+        for idx, dash, bound in ((3, "", "upper bound"), (2, ' stroke-dasharray="5 3"', "lower bound")):
+            name = f"{label} {bound}" if label else bound
+            parts.append(polyline(rows, idx, color, dash))
+            parts.append(f'<text x="{ml + 10}" y="{legend_y}" fill="{color}">{name}</text>')
+            legend_y += 16
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -160,7 +166,7 @@ def run(config: RunConfig) -> int:
         if config.csv_path:
             _write_csv(config.csv_path, report)
         if config.svg_path:
-            _write_svg(config.svg_path, report)
+            _write_svg(config.svg_path, {"": report.trace})
         _print_report(report)
         return 0
 
@@ -172,7 +178,7 @@ def run(config: RunConfig) -> int:
         if config.csv_path:
             _write_csv(_suffixed(config.csv_path, seed), report)
         if config.svg_path:
-            _write_svg(_suffixed(config.svg_path, seed), report)
+            _write_svg(_suffixed(config.svg_path, seed), {"": report.trace})
         low, up = report.final
         print(f"seed {seed}: [{low:.6g}, {up:.6g}] width {up - low:.6g}")
     try:

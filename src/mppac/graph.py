@@ -36,7 +36,6 @@ class MecRecord:
     actions: dict[int, frozenset[str]]  # retained staying actions per state
     gain_lower: float = 0.0  # scaled to [0,1] by the learner's r_max_seen
     gain_upper: float = 1.0
-    has_stay: bool = False  # set once the strict sure-EC gate has passed
 
     def key(self) -> tuple:
         """Identity of the record: exact state and action sets."""

@@ -83,21 +83,6 @@ def uniformize(freq: dict, rates: dict, C: float | None = None) -> dict:
     return rows
 
 
-def ctmdp_mec_gain(pi, r, lam) -> float:
-    """Time-average reward of a chain with stationary (embedded) frequencies
-    pi, rewards r, and exit rates lam: residence in i weighs pi_i by 1/lam_i."""
-    pi = tuple(pi)
-    if abs(sum(pi) - 1.0) > 1e-6:
-        raise ValueError("pi is not a distribution")
-    num = den = 0.0
-    for p, reward, rate in zip(pi, r, lam):
-        if rate <= 0.0:
-            raise ValueError("rates must be positive")
-        num += p * reward / rate
-        den += p / rate
-    return num / den
-
-
 def update_mec_value_ctmdp(
     M: MecRecord,
     rates: dict,

@@ -20,7 +20,6 @@ from .graph import (
     PLUS,
     STAY,
     UNKNOWN,
-    ClosedMec,
     MecRecord,
     best_leaving_action,
     find_delta_sure_mecs,
@@ -32,7 +31,6 @@ from .model import BLACKBOX, GREYBOX, learner_rng
 from .stats import (
     ec_required_samples,
     greybox_miss_probability,
-    lower_tp_estimate,
     split_mp_inconfidence,
     tp_inconfidence,
     tp_width,
@@ -51,6 +49,7 @@ VIRTUAL_STEP_SECONDS = 1e-6
 
 APERIODICITY = 0.95  # y: weight of the real rows against a virtual self-loop in MEC VI
 FIXPOINT_TOL = 1e-6  # a VI phase stops once no value moves more than this
+INITIAL_MEC_SAMPLES = 10_000  # the MEC walk's first per-successor budget
 MEC_SAMPLE_MULTIPLIER = 5  # growth of the MEC walk's per-successor budget
 
 
@@ -64,7 +63,6 @@ class LearnerConfig:
     timeout_s: float = 1800.0
     seed: int = 0
     update_style: str = BLACKBOX_UPDATES  # "blackbox" | "greybox-equations"
-    initial_mec_samples: int = 10_000
     max_episode_steps: int = 0  # 0 = unbounded episodes
     anytime: bool = False  # drop the termination test, run to timeout
     exact_mec_bounds: bool = False  # CTMDP only: full sweep instead of 3 VI calls
@@ -87,14 +85,6 @@ class BoundsReport:
     @property
     def width(self) -> float:
         return self.final[1] - self.final[0]
-
-
-def stay_distribution(l: float, u: float) -> dict:
-    """Stay action for scaled gain bounds [l, u]: reach PLUS with the lower
-    bound, MINUS with 1-upper, UNKNOWN with the gap."""
-    if not 0.0 <= l <= u <= 1.0:
-        raise ValueError(f"invalid gain bounds ({l}, {u})")
-    return {PLUS: l, MINUS: 1.0 - u, UNKNOWN: u - l}
 
 
 class PartialModel:
@@ -125,7 +115,7 @@ class PartialModel:
         self.U: dict[int, float] = {PLUS: 1.0, MINUS: 0.0, UNKNOWN: 1.0}
         self.act_L: dict[tuple[int, str], float] = {}
         self.act_U: dict[tuple[int, str], float] = {}
-        self.mecs: list[MecRecord] = []
+        self.mecs: list[MecRecord] = []  # pairwise disjoint; each carries a stay
         self.stay_of: dict[int, MecRecord] = {}
         # greedy-choice memo: action values only move between rounds, so
         # per-state argmax lists are cached until invalidate_choices
@@ -232,77 +222,28 @@ class PartialModel:
     # -- MEC record bookkeeping -----------------------------------------
 
     def rebuild_stay_of(self) -> None:
-        self.stay_of = {s: m for m in self.mecs if m.has_stay for s in m.states}
+        self.stay_of = {s: m for m in self.mecs for s in m.states}
         self.invalidate_choices()
 
     def reconcile_mecs(self, fresh: list[MecRecord]) -> None:
-        """Adopt this round's sure MECs. A record matching an old one in both
-        state and action sets keeps its gain bounds and stay; anything else
-        starts over at (0, 1) — a changed MEC invalidates old gain bounds."""
-        old = {m.key(): m for m in self.mecs}
-        for m in fresh:
-            prev = old.get(m.key())
-            if prev is not None:
-                m.gain_lower = prev.gain_lower
-                m.gain_upper = prev.gain_upper
-                m.has_stay = prev.has_stay
-        self.mecs = fresh
+        """Keep each held record whose state and action sets are those of one
+        of this round's sure MECs, with its gain bounds and stay; drop the
+        rest, since a changed MEC invalidates old gain bounds. A sure MEC gets
+        a stay only once looping confirms it."""
+        keys = {m.key() for m in fresh}
+        self.mecs = [m for m in self.mecs if m.key() in keys]
         self.rebuild_stay_of()
 
-    def adopt_looping_record(self, rec: MecRecord) -> MecRecord:
-        """Attach stay to a freshly confirmed EC mid-episode. An existing
-        record with the same identity keeps its bounds; otherwise records
-        overlapping the new one are dropped."""
-        for m in self.mecs:
-            if m.key() == rec.key():
-                m.has_stay = True
-                self.rebuild_stay_of()
-                return m
+    def adopt_looping_record(self, rec: MecRecord) -> None:
+        """Attach stay to a freshly confirmed EC mid-episode, dropping the
+        held records it overlaps."""
         self.mecs = [m for m in self.mecs if not (m.states & rec.states)]
-        rec.has_stay = True
         self.mecs.append(rec)
         self.rebuild_stay_of()
-        return rec
 
 
 # ---------------------------------------------------------------------------
 # Bellman updates
-
-
-def bellman_blackbox(s: int, a: str, partial: PartialModel, delta_tp: float):
-    """Pessimistic lower / optimistic upper one-step values: the unassigned
-    estimate mass counts as 0 for the lower bound and 1 for the upper."""
-    n = partial.counts[(s, a)]
-    if n == 0:
-        return 0.0, 1.0
-    w = tp_width(n, delta_tp)
-    low = up = mass = 0.0
-    for t, c in sorted(partial.post[(s, a)].items()):
-        th = lower_tp_estimate(c, n, w)
-        mass += th
-        low += th * partial.L[t]
-        up += th * partial.U[t]
-    return low, up + (1.0 - mass)
-
-
-def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
-    """As blackbox, but residual mass goes to the worst/best *seen*
-    successor instead of to 0/1."""
-    n = partial.counts[(s, a)]
-    if n == 0:
-        return 0.0, 1.0
-    w = tp_width(n, delta_tp)
-    seen = sorted(partial.post[(s, a)].items())
-    low = up = mass = 0.0
-    for t, c in seen:
-        th = lower_tp_estimate(c, n, w)
-        mass += th
-        low += th * partial.L[t]
-        up += th * partial.U[t]
-    resid = 1.0 - mass
-    low += resid * min(partial.L[t] for t, _ in seen)
-    up += resid * max(partial.U[t] for t, _ in seen)
-    return low, up
 
 
 class _Rows:
@@ -397,8 +338,6 @@ class _Estimates(_Rows):
         row_of = {sa: r for r, sa in enumerate(self.pairs)}
         clamp_slots, clamp_mec, exits, exit_heads, exit_mecs, gains = [], [], [], [], [], []
         for M in partial.mecs:
-            if not M.has_stay:
-                continue
             k = len(gains)
             gains.append(M.gain_upper)
             for s in M.states:
@@ -467,44 +406,14 @@ def _movement(L, U, new_l, new_u, n: int) -> float:
     return float(max(np.abs(new_l[:n] - L[:n]).max(), np.abs(new_u[:n] - U[:n]).max()))
 
 
-def global_update(partial: PartialModel, update_style: str | None = None, tol: float = 1e-6) -> bool:
-    """One synchronous Bellman sweep; True iff any value moved more than tol.
-
-    update_style overrides the partial model's own style (used to compare
-    blackbox and greybox updates on identical counts).
-    """
-    est = _Estimates(partial, update_style)
-    L, U = est.values(partial)
-    pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
-    est.store(partial, new_l, new_u, pair_l, pair_u)
-    return _movement(L, U, new_l, new_u, len(est.states)) > tol
-
-
 def _mec_action_values(partial: PartialModel, M: MecRecord) -> dict:
     vals = {}
     for s in sorted(M.states):
         for a in partial.available[s]:
             vals[(s, a)] = (partial.act_L[(s, a)], partial.act_U[(s, a)])
-        if M.has_stay:
+        if partial.stay_of.get(s) is M:
             vals[(s, STAY)] = (M.gain_lower, M.gain_upper)
     return vals
-
-
-def deflate(M: MecRecord, partial: PartialModel) -> float:
-    """Clamp U of every state of M to the best leaving action's upper value;
-    returns the largest decrease applied."""
-    vals = _mec_action_values(partial, M)
-    try:
-        sa = best_leaving_action(M, vals, partial.available, partial.post)
-    except ClosedMec:
-        return 0.0  # no exit and no stay yet: nothing sound to clamp to
-    up = vals[sa][1]
-    moved = 0.0
-    for s in M.states:
-        if partial.U[s] > up:
-            moved = max(moved, partial.U[s] - up)
-            partial.U[s] = up
-    return moved
 
 
 def _vi_phase(partial: PartialModel) -> None:
@@ -634,7 +543,7 @@ def simulate_episode(oracle, partial: PartialModel, config: LearnerConfig, rng, 
             if rec is None:
                 rec = looping(path, t, partial, partial.current_delta_tp(), partial.p_min)
                 if rec is not None:
-                    rec = partial.adopt_looping_record(rec)
+                    partial.adopt_looping_record(rec)
             if rec is not None:
                 ls, la = best_leaving_action(
                     rec, _mec_action_values(partial, rec), partial.available, partial.post
@@ -650,11 +559,11 @@ def simulate_episode(oracle, partial: PartialModel, config: LearnerConfig, rng, 
 # MEC refinement
 
 
-def compute_n_samples(M: MecRecord, partial: PartialModel, config: LearnerConfig) -> int:
-    """Smallest initial*multiplier^j strictly above the least visit count of
-    M's pairs."""
+def compute_n_samples(M: MecRecord, partial: PartialModel) -> int:
+    """Smallest INITIAL_MEC_SAMPLES*MEC_SAMPLE_MULTIPLIER^j strictly above the
+    least visit count of M's pairs."""
     least = min(partial.counts[(s, a)] for s in M.states for a in M.actions[s])
-    n = config.initial_mec_samples
+    n = INITIAL_MEC_SAMPLES
     while n <= least:
         n *= MEC_SAMPLE_MULTIPLIER
     return n
@@ -758,7 +667,6 @@ def _tighten(M: MecRecord, gl: float, gu: float) -> None:
 def drop_stale_record(M: MecRecord, partial: PartialModel) -> None:
     """A retained pair of M was seen leaving it, by an episode or a walk: its
     staying-action evidence was wrong, so the record loses its stay action."""
-    M.has_stay = False
     partial.mecs = [m for m in partial.mecs if m is not M]
     partial.rebuild_stay_of()
 
@@ -802,7 +710,7 @@ def update_mec_value(
     refit()
     if not _needs_refinement(M, partial, config):
         return M.gain_lower, M.gain_upper
-    n_samples = compute_n_samples(M, partial, config)
+    n_samples = compute_n_samples(M, partial)
     if start is None or start not in M.states:
         start = min(M.states)
     if not simulate_mec(M, oracle, n_samples, rng, partial, start, deadline):

@@ -50,44 +50,19 @@ def greybox_miss_probability(p_min: float, count: int) -> float:
     return (1.0 - p_min) ** count
 
 
-def _chernoff_infima(n: int, alpha_r: float):
-    """The two Chernoff infima as ((argmin, log value), (argmin, log value)).
-
-    Closed form: the log term n(u(1+-alpha) - ln(1+u)) is convex in u with
-    its stationary point at u = 1/(1+-alpha) - 1, where it equals
-    n(ln(1+-alpha) -+ alpha). Logs keep large n from underflowing. The
-    underestimation term tilts by 1+alpha on u in (-1, 0), the
-    overestimation term by 1-alpha on u > 0.
-    """
-    return (
-        (1.0 / (1.0 + alpha_r) - 1.0, n * (math.log1p(alpha_r) - alpha_r)),
-        (1.0 / (1.0 - alpha_r) - 1.0, n * (math.log1p(-alpha_r) + alpha_r)),
-    )
-
-
-def rate_inconfidence_parts(n: int, alpha_r: float) -> tuple[float, float]:
-    """The two Chernoff terms separately (underestimation, overestimation):
+def rate_inconfidence(n: int, alpha_r: float) -> float:
+    """Chernoff bound on the chance that the mean of n Exponential(lambda)
+    dwells misses the true mean by a relative alpha_r: the sum of the
+    underestimation and the overestimation term
 
         inf_{-1<u<0} (1/(1+u))^n e^{u n (1+a)},  inf_{u>0} (1/(1+u))^n e^{u n (1-a)}
 
-    The rate lambda cancels (u is the tilt t/lambda)."""
-    (_, below), (_, above) = _chernoff_infima(n, alpha_r)
-    return math.exp(below), math.exp(above)
-
-
-def chernoff_minimizers(n: int, alpha_r: float) -> tuple[float, float]:
-    """Arguments u = t/lambda attaining the two Chernoff infima:
-    u = 1/(1 +- alpha) - 1."""
-    (below_u, _), (above_u, _) = _chernoff_infima(n, alpha_r)
-    return below_u, above_u
-
-
-def rate_inconfidence(n: int, alpha_r: float) -> float:
-    """Chernoff bound on the chance that the mean of n Exponential(lambda)
-    dwells misses the true mean by a relative alpha_r: the sum of both
-    one-sided terms."""
-    below, above = rate_inconfidence_parts(n, alpha_r)
-    return below + above
+    (u is the tilt t/lambda, so the rate lambda cancels). Each log term
+    n(u(1+-a) - ln(1+u)) is convex in u with its stationary point at
+    u = 1/(1+-a) - 1, where it equals n(ln(1+-a) -+ a); the sum is taken of
+    the exponentials of these closed forms.
+    """
+    return math.exp(n * (math.log1p(alpha_r) - alpha_r)) + math.exp(n * (math.log1p(-alpha_r) + alpha_r))
 
 
 def rate_samples(alpha_r: float, delta_r: float) -> int:
@@ -108,22 +83,6 @@ def rate_samples(alpha_r: float, delta_r: float) -> int:
         else:
             lo = mid
     return hi
-
-
-def estimate_rate(dwell_times) -> float:
-    """Rate estimate 1 / mean(dwell_times)."""
-    times = list(dwell_times)
-    if not times:
-        raise ValueError("no dwell times to estimate a rate from")
-    mean = sum(times) / len(times)
-    if mean <= 0.0:
-        raise ValueError("zero-mean dwell times give no rate estimate")
-    return 1.0 / mean
-
-
-def rate_interval(lambda_hat: float, alpha_r: float) -> tuple[float, float]:
-    """[lambda_hat (1 - a), lambda_hat (1 + a)], holding with prob >= 1 - delta_r."""
-    return lambda_hat * (1.0 - alpha_r), lambda_hat * (1.0 + alpha_r)
 
 
 def split_mp_inconfidence(delta_mp: float, p_min: float) -> tuple[float, float]:

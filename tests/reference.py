@@ -1,0 +1,112 @@
+"""Reference implementations that the tests check the package against.
+
+bellman_blackbox and bellman_greybox evaluate one interval Bellman row by
+a per-row loop, independent of the packed row kernel. global_update is one
+sweep of that kernel with the values read from and written to the partial
+model's dicts. deflate clamps one MEC at a time, ranking its exits with
+best_leaving_action, where the value-iteration phase clamps every MEC at
+once. ctmdp_mec_gain is the gain of a chain with known stationary
+frequencies and rates. chernoff_log_term and chernoff_minimizers give the
+dwell-time Chernoff bound's log terms and their closed-form minimizers.
+"""
+
+from __future__ import annotations
+
+import math
+
+from mppac.graph import ClosedMec, MecRecord, best_leaving_action
+from mppac.learn_mdp import PartialModel, _Estimates, _mec_action_values, _movement, _sweep_once
+from mppac.stats import lower_tp_estimate, tp_width
+
+
+def bellman_blackbox(s: int, a: str, partial: PartialModel, delta_tp: float):
+    """Pessimistic lower / optimistic upper one-step values: the unassigned
+    estimate mass counts as 0 for the lower bound and 1 for the upper."""
+    n = partial.counts[(s, a)]
+    if n == 0:
+        return 0.0, 1.0
+    w = tp_width(n, delta_tp)
+    low = up = mass = 0.0
+    for t, c in sorted(partial.post[(s, a)].items()):
+        th = lower_tp_estimate(c, n, w)
+        mass += th
+        low += th * partial.L[t]
+        up += th * partial.U[t]
+    return low, up + (1.0 - mass)
+
+
+def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
+    """As blackbox, but residual mass goes to the worst/best *seen*
+    successor instead of to 0/1."""
+    n = partial.counts[(s, a)]
+    if n == 0:
+        return 0.0, 1.0
+    w = tp_width(n, delta_tp)
+    seen = sorted(partial.post[(s, a)].items())
+    low = up = mass = 0.0
+    for t, c in seen:
+        th = lower_tp_estimate(c, n, w)
+        mass += th
+        low += th * partial.L[t]
+        up += th * partial.U[t]
+    resid = 1.0 - mass
+    low += resid * min(partial.L[t] for t, _ in seen)
+    up += resid * max(partial.U[t] for t, _ in seen)
+    return low, up
+
+
+def global_update(partial: PartialModel, update_style: str | None = None, tol: float = 1e-6) -> bool:
+    """One synchronous Bellman sweep; True iff any value moved more than tol.
+
+    update_style overrides the partial model's own style (used to compare
+    blackbox and greybox updates on identical counts).
+    """
+    est = _Estimates(partial, update_style)
+    L, U = est.values(partial)
+    pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
+    est.store(partial, new_l, new_u, pair_l, pair_u)
+    return _movement(L, U, new_l, new_u, len(est.states)) > tol
+
+
+def deflate(M: MecRecord, partial: PartialModel) -> float:
+    """Clamp U of every state of M to the best leaving action's upper value;
+    returns the largest decrease applied."""
+    vals = _mec_action_values(partial, M)
+    try:
+        sa = best_leaving_action(M, vals, partial.available, partial.post)
+    except ClosedMec:
+        return 0.0  # no exit and no stay yet: nothing sound to clamp to
+    up = vals[sa][1]
+    moved = 0.0
+    for s in M.states:
+        if partial.U[s] > up:
+            moved = max(moved, partial.U[s] - up)
+            partial.U[s] = up
+    return moved
+
+
+def ctmdp_mec_gain(pi, r, lam) -> float:
+    """Time-average reward of a chain with stationary (embedded) frequencies
+    pi, rewards r, and exit rates lam: residence in i weighs pi_i by 1/lam_i."""
+    pi = tuple(pi)
+    if abs(sum(pi) - 1.0) > 1e-6:
+        raise ValueError("pi is not a distribution")
+    num = den = 0.0
+    for p, reward, rate in zip(pi, r, lam):
+        if rate <= 0.0:
+            raise ValueError("rates must be positive")
+        num += p * reward / rate
+        den += p / rate
+    return num / den
+
+
+def chernoff_log_term(n: int, u: float, tilt: float) -> float:
+    """Log of (1/(1+u))^n e^{u n tilt}, straight from the bound's definition;
+    the underestimation term has tilt 1+alpha on u in (-1, 0), the
+    overestimation term tilt 1-alpha on u > 0."""
+    return n * (u * tilt - math.log1p(u))
+
+
+def chernoff_minimizers(alpha_r: float) -> tuple[float, float]:
+    """Closed-form tilts u = 1/(1 +- alpha) - 1 attaining the two infima."""
+    return 1.0 / (1.0 + alpha_r) - 1.0, 1.0 / (1.0 - alpha_r) - 1.0

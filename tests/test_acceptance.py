@@ -23,17 +23,14 @@ from mppac import (
     LearnerConfig,
     MecRecord,
     SampleOracle,
-    chernoff_minimizers,
     exact_mean_payoff,
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
-    global_update,
     greybox_miss_probability,
     load_model,
     mec_decomposition,
     on_demand_bvi,
     on_demand_bvi_ctmdp,
-    rate_inconfidence_parts,
     rate_samples,
     tp_width,
     update_mec_value_ctmdp,
@@ -41,6 +38,7 @@ from mppac import (
 from mppac.cli import main
 
 from .conftest import brute_force_mecs, frozen_partial, random_mdp_graph
+from .reference import chernoff_log_term, chernoff_minimizers, global_update
 
 # ---------------------------------------------------------------------------
 # 1. dwell-sample lookup table against its independently rounded reference
@@ -160,13 +158,18 @@ def test_greybox_miss_probability_worked_examples():
 
 def test_first_chernoff_infimum_crosses_at_about_2500_samples():
     # smallest n where the underestimation term alone drops to 0.05 at α=0.05
+    below_u, _ = chernoff_minimizers(0.05)
+
+    def below(n):
+        return math.exp(chernoff_log_term(n, below_u, 1.05))
+
     hi = 2
-    while rate_inconfidence_parts(hi, 0.05)[0] > 0.05:
+    while below(hi) > 0.05:
         hi *= 2
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rate_inconfidence_parts(mid, 0.05)[0] <= 0.05:
+        if below(mid) <= 0.05:
             hi = mid
         else:
             lo = mid
@@ -174,7 +177,7 @@ def test_first_chernoff_infimum_crosses_at_about_2500_samples():
 
 
 def test_chernoff_minimizers_match_reference_points():
-    below_u, above_u = chernoff_minimizers(2500, 0.05)
+    below_u, above_u = chernoff_minimizers(0.05)
     assert abs(below_u - (-0.0477)) <= 0.02
     assert abs(above_u - 0.0526) <= 0.02
 

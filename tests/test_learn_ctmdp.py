@@ -14,7 +14,6 @@ from mppac import (
     PartialModel,
     SampleOracle,
     boundary_rate_assignment,
-    ctmdp_mec_gain,
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
     learner_rng,
@@ -27,6 +26,7 @@ from mppac import (
 from mppac.learn_ctmdp import achieved_rate_alpha
 
 from .conftest import frozen_partial
+from .reference import ctmdp_mec_gain
 
 # ---------------------------------------------------------------------------
 # rate bookkeeping
@@ -223,7 +223,6 @@ def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
         ctmdp=True,
     )
     M = _cycle_mec()
-    M.has_stay = True
     partial.mecs.append(M)
     partial.rebuild_stay_of()
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)

@@ -24,12 +24,8 @@ from mppac import (
     MecRecord,
     PartialModel,
     SampleOracle,
-    bellman_blackbox,
-    bellman_greybox,
     compute_n_samples,
-    deflate,
     find_delta_sure_mecs,
-    global_update,
     learner_rng,
     load_model,
     looping,
@@ -38,34 +34,48 @@ from mppac import (
     on_demand_bvi_ctmdp,
     simulate_episode,
     simulate_mec,
-    stay_distribution,
     update_mec_value,
 )
-from mppac.learn_mdp import TERMINALS, _choose_action, _Estimates, _interval_gain_vi, _sweep_once, _vi_phase
+from mppac.learn_mdp import (
+    TERMINALS,
+    _choose_action,
+    _draw_stay,
+    _Estimates,
+    _interval_gain_vi,
+    _sweep_once,
+    _vi_phase,
+)
 from mppac.stats import tp_width
 
 from .conftest import frozen_partial
+from .reference import bellman_blackbox, bellman_greybox, deflate, global_update
 
 # ---------------------------------------------------------------------------
 # stay distributions
 
 
+class _FixedDraw:
+    """An rng whose every uniform draw is x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+def _stay_record(l, u):
+    return MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})}, gain_lower=l, gain_upper=u)
+
+
 def test_stay_distribution_worked_values():
-    assert stay_distribution(1.0, 1.0) == {PLUS: 1.0, MINUS: 0.0, UNKNOWN: 0.0}
-    assert stay_distribution(0.0, 1.0) == {PLUS: 0.0, MINUS: 0.0, UNKNOWN: 1.0}
-    d = stay_distribution(0.4, 0.5)
-    assert d[PLUS] == pytest.approx(0.4)
-    assert d[MINUS] == pytest.approx(0.5)
-    assert d[UNKNOWN] == pytest.approx(0.1)
-
-
-def test_stay_distribution_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        stay_distribution(0.6, 0.5)
-    with pytest.raises(ValueError):
-        stay_distribution(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        stay_distribution(0.5, 1.1)
+    # the stay reaches PLUS with the lower bound, MINUS with 1 - upper and
+    # UNKNOWN with the gap: draws in [0, 0.4), [0.4, 0.9) and [0.9, 1)
+    rec = _stay_record(0.4, 0.5)
+    outcomes = [_draw_stay(rec, _FixedDraw(x)) for x in (0.0, 0.39, 0.4, 0.89, 0.9, 0.99)]
+    assert outcomes == [PLUS, PLUS, MINUS, MINUS, UNKNOWN, UNKNOWN]
+    assert {_draw_stay(_stay_record(1.0, 1.0), _FixedDraw(x)) for x in (0.0, 0.5, 0.999)} == {PLUS}
+    assert {_draw_stay(_stay_record(0.0, 1.0), _FixedDraw(x)) for x in (0.0, 0.5, 0.999)} == {UNKNOWN}
 
 
 @given(
@@ -73,10 +83,12 @@ def test_stay_distribution_rejects_bad_bounds():
     gap=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_stay_distribution_is_a_distribution(l, gap):
+    # on a grid of draws, each outcome's share is its probability
     u = min(1.0, l + gap)
-    d = stay_distribution(l, u)
-    assert sum(d.values()) == pytest.approx(1.0)
-    assert all(v >= -1e-12 for v in d.values())
+    k = 1000
+    outcomes = [_draw_stay(_stay_record(l, u), _FixedDraw((i + 0.5) / k)) for i in range(k)]
+    for outcome, p in ((PLUS, l), (MINUS, 1.0 - u), (UNKNOWN, u - l)):
+        assert abs(outcomes.count(outcome) / k - p) <= 1.0 / k + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +243,6 @@ def _swept_partials(draw):
             actions={q: frozenset(partial.available[q]) for q in states},
             gain_lower=low,
             gain_upper=up,
-            has_stay=True,
         ))
     partial.rebuild_stay_of()
     return partial, draw(st.sampled_from([BLACKBOX_UPDATES, GREYBOX_UPDATES]))
@@ -313,45 +324,21 @@ def test_looping_rejects_transient_states():
     assert looping([0, 0, 0], 0, partial, 0.1, 0.1) is None
 
 
-def test_adopt_keeps_matching_record_bounds():
-    partial = frozen_partial(
-        {(1, "a", 2): 30, (2, "b", 1): 30},
-        rewards={1: 1.0, 2: 0.0},
-        p_min=0.1,
-    )
-    old = MecRecord(
-        states=frozenset({1, 2}),
-        actions={1: frozenset({"a"}), 2: frozenset({"b"})},
-        gain_lower=0.3,
-        gain_upper=0.6,
-        has_stay=True,
-    )
-    partial.mecs.append(old)
-    partial.rebuild_stay_of()
-    fresh = looping([1, 2, 1, 2, 1], 1, partial, 0.1, 0.1)
-    adopted = partial.adopt_looping_record(fresh)
-    assert adopted is old
-    assert (adopted.gain_lower, adopted.gain_upper) == (0.3, 0.6)
-
-
 def test_adopt_drops_overlapping_stale_records():
     partial = frozen_partial(
         {(1, "a", 2): 30, (2, "b", 1): 30},
         rewards={1: 1.0, 2: 0.0},
         p_min=0.1,
     )
-    stale = MecRecord(
-        states=frozenset({1}), actions={1: frozenset({"a"})}, has_stay=True
-    )
+    stale = MecRecord(states=frozenset({1}), actions={1: frozenset({"a"})})
     partial.mecs.append(stale)
     partial.rebuild_stay_of()
     fresh = looping([1, 2, 1, 2, 1], 1, partial, 0.1, 0.1)
-    adopted = partial.adopt_looping_record(fresh)
+    partial.adopt_looping_record(fresh)
     assert stale not in partial.mecs
-    assert adopted in partial.mecs
-    assert adopted is fresh and adopted.has_stay
-    assert partial.stay_of[1] is adopted
-    assert partial.stay_of[2] is adopted
+    assert fresh in partial.mecs
+    assert partial.stay_of[1] is fresh
+    assert partial.stay_of[2] is fresh
 
 
 def _sure_cycle_partial(extra=None):
@@ -483,13 +470,12 @@ def _cycle_record(**kw):
 
 
 def test_compute_n_samples_escalates_strictly():
-    config = LearnerConfig()
     M = _cycle_record()
     for least, expected in ((0, 10_000), (9_999, 10_000), (10_000, 50_000), (60_000, 250_000)):
         partial = _cycle_partial()
         partial.counts[(1, "a")] = least
         partial.counts[(2, "b")] = least + 17
-        assert compute_n_samples(M, partial, config) == expected
+        assert compute_n_samples(M, partial) == expected
 
 
 def test_simulate_mec_walks_the_stated_step_count(cycle_entry):
@@ -694,14 +680,17 @@ def test_mec_value_iteration_interval_widens_with_width():
     assert small[0] <= 7 / 12 <= small[1]
 
 
-def test_update_mec_value_converges_on_the_cycle(cycle_entry):
+def test_update_mec_value_converges_on_the_cycle(cycle_entry, monkeypatch):
+    import mppac.learn_mdp as learn_mdp
+
+    monkeypatch.setattr(learn_mdp, "INITIAL_MEC_SAMPLES", 1000)
     partial = _cycle_partial()
-    M = _cycle_record(has_stay=True)
+    M = _cycle_record()
     partial.mecs.append(M)
     partial.rebuild_stay_of()
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=1)
     rng = learner_rng(1)
-    config = LearnerConfig(initial_mec_samples=1000)
+    config = LearnerConfig()
     for _ in range(12):
         out = update_mec_value(M, oracle, partial, config, rng, start=1)
         assert out is not None
@@ -713,7 +702,7 @@ def test_update_mec_value_converges_on_the_cycle(cycle_entry):
 
 def test_update_mec_value_skips_sampling_below_target_width(cycle_entry):
     partial = _cycle_partial()
-    M = _cycle_record(has_stay=True, gain_lower=0.499, gain_upper=0.501)
+    M = _cycle_record(gain_lower=0.499, gain_upper=0.501)
     partial.mecs.append(M)
     partial.rebuild_stay_of()
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=1)
@@ -743,7 +732,6 @@ def test_update_mec_value_drops_record_on_escape(random5):
     M = MecRecord(
         states=frozenset({1, 2}),
         actions={1: frozenset({"x", "y"}), 2: frozenset({"x"})},
-        has_stay=True,
     )
     partial.mecs.append(M)
     partial.rebuild_stay_of()
@@ -751,7 +739,6 @@ def test_update_mec_value_drops_record_on_escape(random5):
     out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(5), start=1)
     assert out is None
     assert M not in partial.mecs
-    assert not M.has_stay
     assert partial.stay_of.get(1) is None
     assert 0 in partial.available  # the walk discovered the true successor
 
@@ -767,7 +754,6 @@ def test_update_mec_value_drops_a_record_whose_pair_was_seen_leaving(cycle_entry
     M = MecRecord(
         states=frozenset({0, 1}),
         actions={0: frozenset({"a"}), 1: frozenset({"b"})},
-        has_stay=True,
     )
     partial.mecs.append(M)
     partial.rebuild_stay_of()
@@ -775,7 +761,6 @@ def test_update_mec_value_drops_a_record_whose_pair_was_seen_leaving(cycle_entry
     out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0)
     assert out is None
     assert M not in partial.mecs
-    assert not M.has_stay
     assert partial.stay_of.get(0) is None
     assert oracle.steps_sampled == 0  # dropped without a walk
 
@@ -798,8 +783,9 @@ def test_deflate_clamps_to_best_leaving_upper():
         actions={1: frozenset({"a"}), 2: frozenset({"b"})},
         gain_lower=0.0,
         gain_upper=0.4,
-        has_stay=True,
     )
+    partial.mecs.append(M)
+    partial.rebuild_stay_of()
     moved = deflate(M, partial)
     assert moved == pytest.approx(0.3)
     assert partial.U[1] == pytest.approx(0.7)
@@ -814,7 +800,9 @@ def test_deflate_never_raises_values():
     )
     partial.U[1] = 0.5
     partial.act_U[(1, "out")] = 0.9
-    M = MecRecord(states=frozenset({1}), actions={1: frozenset({"a"})}, has_stay=True)
+    M = MecRecord(states=frozenset({1}), actions={1: frozenset({"a"})})
+    partial.mecs.append(M)
+    partial.rebuild_stay_of()
     assert deflate(M, partial) == 0.0
     assert partial.U[1] == 0.5
 
@@ -827,8 +815,9 @@ def test_deflate_closed_mec_uses_the_stay_gain():
         actions={1: frozenset({"a"})},
         gain_lower=0.3,
         gain_upper=0.3,
-        has_stay=True,
     )
+    partial.mecs.append(M)
+    partial.rebuild_stay_of()
     moved = deflate(M, partial)
     assert moved == pytest.approx(0.7)
     assert partial.U[1] == pytest.approx(0.3)
@@ -892,7 +881,6 @@ def test_stay_participates_in_the_choice():
         actions={0: frozenset({"a"})},
         gain_lower=0.8,
         gain_upper=0.9,
-        has_stay=True,
     )
     partial.mecs.append(rec)
     partial.rebuild_stay_of()

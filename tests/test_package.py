@@ -16,3 +16,10 @@ def test_star_import_binds_no_module():
 
 def test_all_names_resolve():
     assert all(hasattr(mppac, name) for name in mppac.__all__)
+
+
+def test_test_references_are_not_exported():
+    # the references live in tests/reference.py; the other five are gone
+    references = {"bellman_blackbox", "bellman_greybox", "global_update", "deflate", "ctmdp_mec_gain"}
+    removed = {"stay_distribution", "estimate_rate", "rate_interval", "rate_inconfidence_parts", "chernoff_minimizers"}
+    assert not any(hasattr(mppac, name) for name in references | removed)

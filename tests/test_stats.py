@@ -11,20 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppac import (
+    MecRecord,
     PartialModel,
-    chernoff_minimizers,
     ec_required_samples,
-    estimate_rate,
     greybox_miss_probability,
     lower_tp_estimate,
     rate_inconfidence,
-    rate_inconfidence_parts,
-    rate_interval,
     rate_samples,
     split_mp_inconfidence,
     tp_inconfidence,
     tp_width,
 )
+from mppac.learn_ctmdp import _pair_rates
+
+from .conftest import frozen_partial
+from .reference import chernoff_log_term, chernoff_minimizers
 
 # ---------------------------------------------------------------------------
 # transition-probability bounds
@@ -141,24 +142,18 @@ def test_greybox_miss_probability_unsampled_pair():
 
 
 def test_estimate_rate_worked_values():
-    assert estimate_rate([0.5, 0.5]) == pytest.approx(2.0)
-    assert estimate_rate([1.0, 2.0, 3.0]) == pytest.approx(0.5)
-
-
-def test_estimate_rate_rejects_empty():
-    with pytest.raises(ValueError):
-        estimate_rate([])
-
-
-def test_estimate_rate_rejects_zero_mean():
-    with pytest.raises(ValueError):
-        estimate_rate([0.0, 0.0])
-
-
-def test_rate_interval_is_symmetric_relative():
-    low, high = rate_interval(2.0, 0.1)
-    assert low == pytest.approx(1.8)
-    assert high == pytest.approx(2.2)
+    # the learner's rate estimate is 1 / mean dwell: dwells (0.5, 0.5) in
+    # state 0 and (1, 2, 3) in state 1
+    partial = frozen_partial(
+        {(0, "a", 1): 2, (1, "a", 0): 3},
+        rewards={0: 1.0, 1: 0.0},
+        dwell_sums={(0, "a"): 1.0, (1, "a"): 6.0},
+        ctmdp=True,
+    )
+    M = MecRecord(states=frozenset({0, 1}), actions={0: frozenset({"a"}), 1: frozenset({"a"})})
+    rates = _pair_rates(M, partial)
+    assert rates[(0, "a")] == pytest.approx(2.0)
+    assert rates[(1, "a")] == pytest.approx(0.5)
 
 
 def test_rate_inconfidence_reference_point():
@@ -167,8 +162,17 @@ def test_rate_inconfidence_reference_point():
     assert 0.05 < v <= 0.1
 
 
+def _chernoff_terms(n, alpha):
+    # both infima, evaluated from the definition at the closed-form minimizers
+    below_u, above_u = chernoff_minimizers(alpha)
+    return (
+        math.exp(chernoff_log_term(n, below_u, 1.0 + alpha)),
+        math.exp(chernoff_log_term(n, above_u, 1.0 - alpha)),
+    )
+
+
 def test_rate_inconfidence_parts_reference_point():
-    below, above = rate_inconfidence_parts(2500, 0.05)
+    below, above = _chernoff_terms(2500, 0.05)
     assert below <= 0.05
     assert below + above == pytest.approx(rate_inconfidence(2500, 0.05))
 
@@ -178,15 +182,25 @@ def test_rate_inconfidence_decreases_with_samples():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def _argmin_convex(f, lo, hi):
+    # ternary search: f is convex on [lo, hi]
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if f(a) <= f(b):
+            hi = b
+        else:
+            lo = a
+    return (lo + hi) / 2.0
+
+
 def test_chernoff_minimizers_match_closed_form():
-    below, above = chernoff_minimizers(2500, 0.05)
-    assert below == pytest.approx(1.0 / 1.05 - 1.0, abs=1e-3)
-    assert above == pytest.approx(1.0 / 0.95 - 1.0, abs=1e-3)
-
-
-def _chernoff_log_term(n, u, tilt):
-    # log of (1/(1+u))^n e^{u n tilt}, straight from the bound's definition
-    return n * (u * tilt - math.log1p(u))
+    below, above = chernoff_minimizers(0.05)
+    assert below == pytest.approx(
+        _argmin_convex(lambda u: chernoff_log_term(2500, u, 1.05), -1.0 + 1e-9, 0.0), abs=1e-6
+    )
+    assert above == pytest.approx(
+        _argmin_convex(lambda u: chernoff_log_term(2500, u, 0.95), 0.0, 10.0), abs=1e-6
+    )
 
 
 @given(
@@ -195,21 +209,22 @@ def _chernoff_log_term(n, u, tilt):
 )
 @settings(max_examples=200, deadline=None)
 def test_chernoff_minimizers_minimize_the_log_terms(n, alpha):
-    # each returned point beats its neighbours u(1 +- 1e-3) and a few fixed
-    # tilts in its range, and the returned terms are the minima themselves
-    below_u, above_u = chernoff_minimizers(n, alpha)
-    below, above = rate_inconfidence_parts(n, alpha)
-    for u, tilt, tilts, term in (
-        (below_u, 1.0 + alpha, (-0.9, -0.5, -0.1, -0.01, -1e-3), below),
-        (above_u, 1.0 - alpha, (1e-3, 0.01, 0.1, 1.0, 10.0), above),
+    # each closed-form point beats its neighbours u(1 +- 1e-3) and a few
+    # fixed tilts in its range, and rate_inconfidence is the sum of the minima
+    below_u, above_u = chernoff_minimizers(alpha)
+    minima = 0.0
+    for u, tilt, tilts in (
+        (below_u, 1.0 + alpha, (-0.9, -0.5, -0.1, -0.01, -1e-3)),
+        (above_u, 1.0 - alpha, (1e-3, 0.01, 0.1, 1.0, 10.0)),
     ):
-        at = _chernoff_log_term(n, u, tilt)
+        at = chernoff_log_term(n, u, tilt)
         for v in (u * (1.0 - 1e-3), u * (1.0 + 1e-3)):
-            assert at <= _chernoff_log_term(n, v, tilt)
+            assert at <= chernoff_log_term(n, v, tilt)
         for v in tilts:
-            other = _chernoff_log_term(n, v, tilt)
+            other = chernoff_log_term(n, v, tilt)
             assert at <= other + 1e-12 * abs(other)
-        assert term == pytest.approx(math.exp(at), rel=1e-9, abs=1e-300)
+        minima += math.exp(at)
+    assert rate_inconfidence(n, alpha) == pytest.approx(minima, rel=1e-9, abs=1e-300)
 
 
 @given(
@@ -236,8 +251,7 @@ def test_rate_interval_statistical_soundness(lam):
     lam_hat = 1.0 / dwell.mean(axis=1)
     misses = 0
     for lh in lam_hat:
-        low, high = rate_interval(lh, alpha)
-        if not (low <= lam <= high):
+        if not (lh * (1.0 - alpha) <= lam <= lh * (1.0 + alpha)):
             misses += 1
     assert misses / trials <= 0.15
 
