@@ -7,7 +7,7 @@ import copy
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mppac import (
@@ -248,7 +248,19 @@ def _swept_partials(draw):
     return partial, draw(st.sampled_from([BLACKBOX_UPDATES, GREYBOX_UPDATES]))
 
 
+def _stay_above_every_row():
+    # a stay whose gains exceed both values of the state's only row
+    partial = frozen_partial({(0, "a", 0): 10}, rewards={0: 1.0})
+    partial.L[0], partial.U[0] = 0.1, 0.2
+    partial.mecs.append(
+        MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})}, gain_lower=0.8, gain_upper=0.9)
+    )
+    partial.rebuild_stay_of()
+    return partial, BLACKBOX_UPDATES
+
+
 @given(_swept_partials())
+@example(_stay_above_every_row())
 def test_array_sweep_equals_the_bellman_rows_exactly(case):
     partial, style = case
     delta_tp = partial.current_delta_tp()
@@ -342,7 +354,7 @@ def test_adopt_drops_overlapping_stale_records():
 
 
 def _sure_cycle_partial(extra=None):
-    # 60 samples per pair clear the sure-EC gate at these settings (51 needed)
+    # 60 samples per pair clear the sure-EC gate here (51 needed, 55 with the extra pair)
     return frozen_partial(
         {(1, "a", 2): 60, (2, "b", 1): 60, **(extra or {})},
         rewards={1: 1.0, 2: 0.0},
@@ -359,14 +371,7 @@ def _reconcile(partial):
 
 def test_reconcile_keeps_the_stay_of_an_unchanged_mec():
     partial = _sure_cycle_partial()
-    partial.adopt_looping_record(
-        MecRecord(
-            states=frozenset({1, 2}),
-            actions={1: frozenset({"a"}), 2: frozenset({"b"})},
-            gain_lower=0.3,
-            gain_upper=0.6,
-        )
-    )
+    partial.adopt_looping_record(_cycle_record(gain_lower=0.3, gain_upper=0.6))
     _reconcile(partial)
     for s in (1, 2):
         assert (partial.stay_of[s].gain_lower, partial.stay_of[s].gain_upper) == (0.3, 0.6)
@@ -411,7 +416,7 @@ def test_looping_records_are_new_and_held_records_partition_stay_of(models_dir, 
     # record it confirms contains that state: no held record shares its key
     import mppac.learn_mdp as learn_mdp
 
-    looped, adopted, rounds = [], [], []
+    looped, adopted, reconciled = [], [], []
     original_looping = learn_mdp.looping
     adopt = PartialModel.adopt_looping_record
     reconcile = PartialModel.reconcile_mecs
@@ -435,7 +440,7 @@ def test_looping_records_are_new_and_held_records_partition_stay_of(models_dir, 
 
     def checked_reconcile(partial, fresh):
         reconcile(partial, fresh)
-        rounds.append(len(partial.mecs))
+        reconciled.append(fresh)
         held_records_partition_stay_of(partial)
 
     monkeypatch.setattr(learn_mdp, "looping", checked_looping)
@@ -445,7 +450,7 @@ def test_looping_records_are_new_and_held_records_partition_stay_of(models_dir, 
     oracle = SampleOracle(model, BLACKBOX, rng_seed=1)
     learn = on_demand_bvi_ctmdp if model.kind == CTMDP else on_demand_bvi
     learn(oracle, LearnerConfig(seed=1, epsilon_mp=0.1, episodes_per_round=500, timeout_s=60.0))
-    assert adopted and rounds
+    assert adopted and reconciled
 
 
 # ---------------------------------------------------------------------------
