@@ -49,6 +49,7 @@ VIRTUAL_STEP_SECONDS = 1e-6
 
 APERIODICITY = 0.95  # y: weight of the real rows against a virtual self-loop in MEC VI
 FIXPOINT_TOL = 1e-6  # a VI phase stops once no value moves more than this
+GAIN_VI_MAX_SWEEPS = 10_000  # interval gain VI returns its (still sound) bounds after this many sweeps
 INITIAL_MEC_SAMPLES = 10_000  # the MEC walk's first per-successor budget
 MEC_SAMPLE_MULTIPLIER = 5  # growth of the MEC walk's per-successor budget
 
@@ -614,9 +615,11 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float)
     gives them, and runs through the phase's row kernel (_Rows) with
     residual mass to the worst/best seen successor. A virtual self-loop of
     mass 1-APERIODICITY forces aperiodicity without changing the gain.
-    Iterates until both update-difference spans are below beta; the lower
-    gain is the smallest lower difference, the upper gain the largest upper
-    difference, clamped to [0,1].
+    Iterates until both update-difference spans are below beta, or for
+    GAIN_VI_MAX_SWEEPS sweeps: the spans of a multichain game need not
+    shrink. The lower gain is the smallest lower difference, the upper gain
+    the largest upper difference, clamped to [0,1]; these bound the gain at
+    every sweep.
     """
     beta = max(beta, 1e-9)
     states = sorted(M.states)
@@ -631,7 +634,7 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float)
     l = np.zeros(len(states))
     u = np.zeros(len(states))
     y = APERIODICITY
-    while True:
+    for _ in range(GAIN_VI_MAX_SWEEPS):
         pl, pu = packed.bounds(l, u)
         newl = r + y * packed.best(pl) + (1.0 - y) * l
         newu = r + y * packed.best(pu) + (1.0 - y) * u
@@ -639,9 +642,10 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float)
         du = newu - u
         l, u = newl, newu
         if dl.max() - dl.min() <= beta and du.max() - du.min() <= beta:
-            gl = min(1.0, max(0.0, float(dl.min())))
-            gu = min(1.0, max(0.0, float(du.max())))
-            return gl, max(gl, gu)
+            break
+    gl = min(1.0, max(0.0, float(dl.min())))
+    gu = min(1.0, max(0.0, float(du.max())))
+    return gl, max(gl, gu)
 
 
 def mec_value_iteration(M: MecRecord, partial: PartialModel, delta_tp: float, beta: float):

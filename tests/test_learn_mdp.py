@@ -685,6 +685,36 @@ def test_mec_value_iteration_interval_widens_with_width():
     assert small[0] <= 7 / 12 <= small[1]
 
 
+def test_mec_value_iteration_stops_on_a_multichain_interval_game(monkeypatch):
+    # the Hoeffding width (0.048) floors state 1's 3% exit to 0, so the lower
+    # game traps state 1 at gain 0.5 while state 0 keeps gain 1: the lower
+    # span stays at 0.5 and never drops below beta. The call must still
+    # return, within the sweep cap, with bounds around the EC's gain 1 (state
+    # 0's b self-loop)
+    import mppac.learn_mdp as learn_mdp
+
+    bounds = learn_mdp._Rows.bounds
+    sweeps = 0
+
+    def counted(self, L, U):
+        nonlocal sweeps
+        sweeps += 1
+        if sweeps > learn_mdp.GAIN_VI_MAX_SWEEPS:
+            raise AssertionError("interval gain VI swept past its cap")
+        return bounds(self, L, U)
+
+    monkeypatch.setattr(learn_mdp._Rows, "bounds", counted)
+    partial = frozen_partial(
+        {(0, "a", 1): 500, (0, "b", 0): 500, (1, "a", 1): 1940, (1, "a", 0): 60},
+        rewards={0: 1.0, 1: 0.5},
+        p_min=0.03,
+    )
+    M = MecRecord(states=frozenset({0, 1}), actions={0: frozenset({"a", "b"}), 1: frozenset({"a"})})
+    gl, gu = mec_value_iteration(M, partial, delta_tp=1e-4, beta=0.01)
+    assert sweeps == learn_mdp.GAIN_VI_MAX_SWEEPS
+    assert gl <= 1.0 <= gu
+
+
 def test_update_mec_value_converges_on_the_cycle(cycle_entry, monkeypatch):
     import mppac.learn_mdp as learn_mdp
 
