@@ -6,8 +6,10 @@ sweep of that kernel with the values read from and written to the partial
 model's dicts. deflate clamps one MEC at a time, ranking its exits with
 best_leaving_action, where the value-iteration phase clamps every MEC at
 once. ctmdp_mec_gain is the gain of a chain with known stationary
-frequencies and rates. chernoff_log_term and chernoff_minimizers give the
-dwell-time Chernoff bound's log terms and their closed-form minimizers.
+frequencies and rates. heuristic_mec_bounds is the three-call CTMDP gain
+heuristic with its two rate assignments built pair by pair.
+chernoff_log_term and chernoff_minimizers give the dwell-time Chernoff
+bound's log terms and their closed-form minimizers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 from mppac.graph import ClosedMec, MecRecord, best_leaving_action
+from mppac.learn_ctmdp import update_mec_value_ctmdp
 from mppac.learn_mdp import PartialModel, _Estimates, _mec_action_values, _movement, _sweep_once
 from mppac.stats import lower_tp_estimate, tp_width
 
@@ -98,6 +101,30 @@ def ctmdp_mec_gain(pi, r, lam) -> float:
         num += p * reward / rate
         den += p / rate
     return num / den
+
+
+def heuristic_mec_bounds(M: MecRecord, partial: PartialModel, alpha_r: float, beta: float, delta_tp=None):
+    """Gain bounds at the plain rate estimates count / dwell sum, then at
+    two assignments built pair by pair: a "fast" one that speeds up the
+    pairs of states earning at least the plain gain estimate and slows down
+    the rest, for the lower bound, and the mirrored "slow" one for the upper
+    bound. All three calls uniformize at max rate * (1 + alpha_r)."""
+    lam = {(s, a): partial.counts[(s, a)] / partial.dwell_sum[(s, a)] for s in M.states for a in M.actions[s]}
+    C = max(lam.values()) * (1.0 + alpha_r)
+    l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C)
+    v_hat = (l0 + u0) / 2.0
+    fast = {}
+    slow = {}
+    for (s, a), rate in lam.items():
+        if partial.scaled_reward(s) >= v_hat:
+            fast[(s, a)] = rate * (1.0 + alpha_r)
+            slow[(s, a)] = rate * (1.0 - alpha_r)
+        else:
+            fast[(s, a)] = rate * (1.0 - alpha_r)
+            slow[(s, a)] = rate * (1.0 + alpha_r)
+    v_l = update_mec_value_ctmdp(M, fast, partial, beta, delta_tp, C)[0]
+    v_u = update_mec_value_ctmdp(M, slow, partial, beta, delta_tp, C)[1]
+    return min(v_l, v_u), max(v_l, v_u)
 
 
 def chernoff_log_term(n: int, u: float, tilt: float) -> float:

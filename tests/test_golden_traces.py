@@ -38,7 +38,9 @@ MODES = {
     "greybox": (GREYBOX, GREYBOX_UPDATES),
 }
 
-LAYERED = "layered"  # generated below instead of read from models/
+# generated below instead of read from models/
+LAYERED = "layered"
+TIED_RING = "tied_ring"
 
 # name -> (model, mode, seed, LearnerConfig overrides)
 CASES = {
@@ -53,6 +55,8 @@ CASES = {
         "cycle_rates.ctmdp", "greybox", 0, {"epsilon_mp": 0.05, "exact_mec_bounds": True}
     ),
     "layered-greybox-s0": (LAYERED, "greybox", 0, {"epsilon_mp": 0.05, "episodes_per_round": 200}),
+    "tied_ring-blackbox-s0": (TIED_RING, "blackbox", 0, {"epsilon_mp": 0.05}),
+    "tied_ring-exact-greybox-s0": (TIED_RING, "greybox", 0, {"epsilon_mp": 0.05, "exact_mec_bounds": True}),
 }
 
 
@@ -86,10 +90,36 @@ def layered_model(seed: int = 7, layers: int = 9, width: int = 100):
     return parse_model("\n".join(lines) + "\n")
 
 
+def tied_ring_ctmdp(seed: int = 5, size: int = 4):
+    """A CTMDP whose states 1..size form one end component: a ring with
+    rewards 1, 0.5, 0.5, 0 (the last ``size`` of them) in random order, so
+    two states tie. Action a moves to the next state at a random rate,
+    action b splits 3:1 between the next two; the initial state 0 enters
+    the ring. pmin 0.21 lies below the smallest embedded probability, 1/4,
+    and is not a power of two, so the transition and rate shares of the
+    inconfidence split are not exact binary fractions."""
+    rng = random.Random(seed)
+    rewards = [1.0, 0.5, 0.5, 0.0][-size:]
+    rng.shuffle(rewards)
+    lines = ["ctmdp", f"states {size + 1}", "init 0", "pmin 0.21", "t 0 a 1 1.0"]
+    for s, r in enumerate(rewards, start=1):
+        lines.append(f"reward {s} {r!r}")
+    for s in range(1, size + 1):
+        nxt = s % size + 1
+        rate = rng.choice((1.0, 2.0))
+        lines.append(f"t {s} a {nxt} {rng.choice((1.0, 2.0, 4.0))!r}")
+        lines.append(f"t {s} b {nxt} {3 * rate!r}")
+        lines.append(f"t {s} b {nxt % size + 1} {rate!r}")
+    return parse_model("\n".join(lines) + "\n")
+
+
+GENERATED = {LAYERED: layered_model, TIED_RING: tied_ring_ctmdp}
+
+
 def run_case(name: str) -> dict:
     """One learner run of CASES[name], as the repr of each recorded field."""
     model_name, mode, seed, overrides = CASES[name]
-    model = layered_model() if model_name == LAYERED else load_model(ROOT / "models" / model_name)
+    model = GENERATED[model_name]() if model_name in GENERATED else load_model(ROOT / "models" / model_name)
     info, style = MODES[mode]
     oracle = SampleOracle(model, info_level=info, rng_seed=seed)
     config = LearnerConfig(seed=seed, update_style=style, **overrides)

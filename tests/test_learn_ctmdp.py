@@ -4,7 +4,7 @@ bounds, and the continuous-time end-to-end loop."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppac import (
@@ -26,7 +26,7 @@ from mppac import (
 from mppac.learn_ctmdp import achieved_rate_alpha
 
 from .conftest import frozen_partial
-from .reference import ctmdp_mec_gain
+from .reference import ctmdp_mec_gain, heuristic_mec_bounds
 
 # ---------------------------------------------------------------------------
 # rate bookkeeping
@@ -169,6 +169,40 @@ def test_heuristic_bounds_sit_inside_the_exact_sweep():
     assert hl >= el - 2 * beta
     assert hu <= eu + 2 * beta
     assert hl <= 1 / 3 <= hu
+
+
+@st.composite
+def _tied_ctmdp_mecs(draw):
+    # a cycle 0 -> 1 -> ... -> 0 runs through every row, so M is an EC;
+    # with fewer reward levels than states, some rewards tie. Each successor
+    # is drawn at least 1000 times in at most 15000, so every lower estimate
+    # stays positive at delta_tp 0.05 and the interval VI converges
+    k = draw(st.integers(min_value=2, max_value=6))
+    levels = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)), min_size=1, max_size=k - 1))
+    rewards = {s: draw(st.sampled_from(levels)) for s in range(k)}
+    actions, triples, dwell_sums = {}, {}, {}
+    for s in range(k):
+        labels = ("a", "b")[: draw(st.integers(min_value=1, max_value=2))]
+        actions[s] = frozenset(labels)
+        for a in labels:
+            succ = {(s + 1) % k} | set(draw(st.lists(st.integers(0, k - 1), max_size=2)))
+            n = 0
+            for t in sorted(succ):
+                triples[(s, a, t)] = draw(st.integers(min_value=1000, max_value=5000))
+                n += triples[(s, a, t)]
+            dwell_sums[(s, a)] = n / draw(st.floats(min_value=0.25, max_value=8.0))
+    partial = frozen_partial(triples, rewards, p_min=0.05, dwell_sums=dwell_sums, ctmdp=True)
+    M = MecRecord(states=frozenset(range(k)), actions=actions)
+    alpha_r = draw(st.floats(min_value=0.01, max_value=0.5))
+    beta = draw(st.sampled_from((1e-3, 1e-6)))
+    delta_tp = draw(st.sampled_from((1.0, 0.05)))
+    return M, partial, alpha_r, beta, delta_tp
+
+
+@given(_tied_ctmdp_mecs())
+@settings(deadline=None)
+def test_heuristic_bounds_equal_the_pairwise_reference_exactly(case):
+    assert find_mec_mp_bounds_heuristic(*case) == heuristic_mec_bounds(*case)
 
 
 def test_larger_rate_uncertainty_widens_the_bounds():
