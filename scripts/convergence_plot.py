@@ -13,12 +13,15 @@ Example:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from mppac.cli import MODES, RunConfig, _run_one, _write_svg
-from mppac.learn_mdp import LearnerConfig
-from mppac.model import load_model
-from mppac.whitebox import exact_mean_payoff
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from mppac.cli import MODES, RunConfig, _run_one, _write_svg  # noqa: E402
+from mppac.learn_mdp import LearnerConfig  # noqa: E402
+from mppac.model import load_model  # noqa: E402
+from mppac.whitebox import exact_mean_payoff  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -12,35 +12,31 @@ Example:
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
-import time
 
-from mppac.learn_ctmdp import on_demand_bvi_ctmdp
-from mppac.learn_mdp import LearnerConfig, on_demand_bvi
-from mppac.model import CTMDP, SampleOracle, load_model
-from mppac.whitebox import exact_mean_payoff
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from mppac.cli import RunConfig, _run_one  # noqa: E402
+from mppac.learn_mdp import LearnerConfig  # noqa: E402
+from mppac.model import load_model  # noqa: E402
+from mppac.whitebox import exact_mean_payoff  # noqa: E402
 
 
 def study(path: str, seeds: range, learner: LearnerConfig) -> dict:
+    """Blackbox runs of `mppac run` over the seeds, checked against the
+    whitebox value."""
     model = load_model(path)
     reference = exact_mean_payoff(model)
-    learn = on_demand_bvi_ctmdp if model.kind == CTMDP else on_demand_bvi
+    config = RunConfig(model_path=path, learner=learner)
 
     covered = 0
     widths, walls, episode_counts = [], [], []
     timeouts = 0
     for seed in seeds:
-        config = LearnerConfig(
-            epsilon_mp=learner.epsilon_mp,
-            delta_mp=learner.delta_mp,
-            episodes_per_round=learner.episodes_per_round,
-            timeout_s=learner.timeout_s,
-            seed=seed,
-        )
-        t0 = time.perf_counter()
-        report = learn(SampleOracle(model, rng_seed=seed), config)
-        walls.append(time.perf_counter() - t0)
+        report = _run_one(model, config, seed)
+        walls.append(report.wall_seconds)
         low, up = report.final
         widths.append(up - low)
         episode_counts.append(report.episodes)

@@ -23,7 +23,6 @@ from .graph import (
     model_graph,
 )
 from .learn_ctmdp import (
-    boundary_rate_assignment,
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
     on_demand_bvi_ctmdp,
@@ -63,7 +62,6 @@ from .model import (
 from .stats import (
     ec_required_samples,
     greybox_miss_probability,
-    lower_tp_estimate,
     rate_inconfidence,
     rate_samples,
     split_mp_inconfidence,

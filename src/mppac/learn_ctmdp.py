@@ -56,31 +56,26 @@ def achieved_rate_alpha(count: int, delta_r: float) -> float:
 # uniformization
 
 
-def uniformize(freq: dict, rates: dict, C: float | None = None) -> dict:
-    """Turn per-pair frequencies and exit rates into the rows of one
-    discrete chain, (s,a) -> {t: probability}: off-diagonal mass freq·λ/C,
-    remainder as a self-loop. C defaults to the largest rate."""
+def uniformize(rows: dict, rates: dict, C: float | None = None) -> dict:
+    """Uniformize the rows of the pairs in rates at those exit rates. rows
+    and the result map (s,a) to (count, ((t, probability), ...)) with
+    successors ascending, as PartialModel.row gives them: off-diagonal mass
+    frequency·λ/C, the remainder as a self-loop. C defaults to the largest
+    rate."""
     lam_max = max(rates.values())
     if C is None:
         C = lam_max
     if C < lam_max * (1.0 - 1e-12):
         raise ValueError(f"uniformization rate {C:.6g} below assigned rate {lam_max:.6g}")
-    rows = {}
-    for sa, lam in rates.items():
-        s = sa[0]
-        row = {}
+    out = {}
+    for (s, a), lam in rates.items():
+        n, freqs = rows[(s, a)]
+        moved = [(t, f * lam / C) for t, f in freqs if t != s]
         off = 0.0
-        for t, f in freq[sa].items():
-            if t == s:
-                continue
-            mass = f * lam / C
-            row[t] = mass
-            off += mass
-        self_mass = 1.0 - off
-        if self_mass > 0.0:
-            row[s] = self_mass
-        rows[sa] = row
-    return rows
+        for _, p in moved:
+            off += p
+        out[(s, a)] = (n, tuple(sorted(moved + [(s, 1.0 - off)] if off < 1.0 else moved)))
+    return out
 
 
 def update_mec_value_ctmdp(
@@ -98,36 +93,11 @@ def update_mec_value_ctmdp(
         delta_tp = partial.current_delta_tp()
     observed = {(s, a): partial.row(s, a) for s in M.states for a in M.actions[s]}
     rewards = {s: partial.scaled_reward(s) for s in M.states}
-    uni = uniformize({sa: dict(freqs) for sa, (_, freqs) in observed.items()}, rates, C)
-    rows = {sa: (n, tuple(sorted(uni[sa].items()))) for sa, (n, _) in observed.items()}
-    return _interval_gain_vi(M, rows, rewards, delta_tp, beta)
+    return _interval_gain_vi(M, uniformize(observed, rates, C), rewards, delta_tp, beta)
 
 
 # ---------------------------------------------------------------------------
 # rate-adversarial gain bounds
-
-
-def boundary_rate_assignment(lambda_hats, alpha_r: float, j: int, direction: str):
-    """Threshold rate choice over states sorted by descending reward: for
-    the maximizing direction the first j states run slow (λ̂(1−α), more time
-    in high reward) and the rest fast; mirrored for the minimum."""
-    if direction not in ("max", "min"):
-        raise ValueError(f"unknown direction {direction!r}")
-    low = 1.0 - alpha_r
-    high = 1.0 + alpha_r
-    if direction == "min":
-        low, high = high, low
-    return tuple(lam * (low if i < j else high) for i, lam in enumerate(lambda_hats))
-
-
-def _reward_sorted(M: MecRecord, partial: PartialModel):
-    return sorted(M.states, key=lambda s: (-partial.rewards[s], s))
-
-
-def _uniformization_rate(lam: dict, alpha_r: float) -> float:
-    # one shared C covering λ̂(1+α) keeps every sweep call comparable and
-    # the true rate inside the uniformizable range with the stated confidence
-    return max(lam.values()) * (1.0 + alpha_r)
 
 
 def _pair_rates(M: MecRecord, partial: PartialModel) -> dict:
@@ -137,6 +107,24 @@ def _pair_rates(M: MecRecord, partial: PartialModel) -> dict:
         for s in M.states
         for a in M.actions[s]
     }
+
+
+def _threshold_rates(M: MecRecord, partial: PartialModel, alpha_r: float):
+    """The pair estimates λ̂, one uniformization rate C = max λ̂·(1+α) that
+    covers every assignment (and so the true rates, with the stated
+    confidence), and the threshold assignment at (j, direction): over states
+    sorted by descending reward, the first j run slow, λ̂(1−α), and the rest
+    fast, λ̂(1+α), to push the gain up ("max"); mirrored for "min"."""
+    lam = _pair_rates(M, partial)
+    order = sorted(M.states, key=lambda s: (-partial.rewards[s], s))
+
+    def rates(j: int, direction: str) -> dict:
+        first, rest = (1.0 - alpha_r, 1.0 + alpha_r) if direction == "max" else (1.0 + alpha_r, 1.0 - alpha_r)
+        return {
+            (s, a): lam[(s, a)] * (first if i < j else rest) for i, s in enumerate(order) for a in M.actions[s]
+        }
+
+    return lam, max(lam.values()) * (1.0 + alpha_r), rates
 
 
 def find_mec_mp_bounds_exact(
@@ -150,21 +138,12 @@ def find_mec_mp_bounds_exact(
     threshold assignments over reward-sorted states in both directions,
     keeping the extreme VI bound; each sweep stops once the value turns
     back (the optimum over assignments has threshold form)."""
-    lam = _pair_rates(M, partial)
-    C = _uniformization_rate(lam, alpha_r)
-    order = _reward_sorted(M, partial)
-    m = len(order)
+    _, C, rates = _threshold_rates(M, partial, alpha_r)
 
     def sweep(direction: str, side: int) -> float:
         best = None
-        for j in range(m + 1):
-            factors = boundary_rate_assignment([1.0] * m, alpha_r, j, direction)
-            rates = {
-                (s, a): lam[(s, a)] * factors[i]
-                for i, s in enumerate(order)
-                for a in M.actions[s]
-            }
-            v = update_mec_value_ctmdp(M, rates, partial, beta, delta_tp, C)[side]
+        for j in range(len(M.states) + 1):
+            v = update_mec_value_ctmdp(M, rates(j, direction), partial, beta, delta_tp, C)[side]
             if best is None:
                 best = v
             elif v > best if side == 1 else v < best:
@@ -185,24 +164,16 @@ def find_mec_mp_bounds_heuristic(
     beta: float,
     delta_tp: float | None = None,
 ):
-    """Three-call approximation: estimate the gain at the plain rates, then
-    slow down (speed up) the states earning at least that much to push the
-    bound up (down)."""
-    lam = _pair_rates(M, partial)
-    C = _uniformization_rate(lam, alpha_r)
+    """Three-call approximation: estimate the gain v̂ at the plain rates,
+    then take the sweep's threshold assignments at the states earning at
+    least v̂, a prefix of the reward-sorted states: slowing them down
+    pushes the bound up, speeding them up pushes it down."""
+    lam, C, rates = _threshold_rates(M, partial, alpha_r)
     l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C)
     v_hat = (l0 + u0) / 2.0
-    fast = {}
-    slow = {}
-    for (s, a), rate in lam.items():
-        if partial.scaled_reward(s) >= v_hat:
-            fast[(s, a)] = rate * (1.0 + alpha_r)
-            slow[(s, a)] = rate * (1.0 - alpha_r)
-        else:
-            fast[(s, a)] = rate * (1.0 - alpha_r)
-            slow[(s, a)] = rate * (1.0 + alpha_r)
-    v_l = update_mec_value_ctmdp(M, fast, partial, beta, delta_tp, C)[0]
-    v_u = update_mec_value_ctmdp(M, slow, partial, beta, delta_tp, C)[1]
+    j = sum(partial.scaled_reward(s) >= v_hat for s in M.states)
+    v_l = update_mec_value_ctmdp(M, rates(j, "min"), partial, beta, delta_tp, C)[0]
+    v_u = update_mec_value_ctmdp(M, rates(j, "max"), partial, beta, delta_tp, C)[1]
     return min(v_l, v_u), max(v_l, v_u)
 
 
@@ -212,13 +183,14 @@ def find_mec_mp_bounds_heuristic(
 
 def _bound_mec_gain_ctmdp(M, partial, config, beta):
     """CTMDP gain bounder for update_mec_value: the rate-adversarial bounds
-    at the largest relative rate error certified over M's pairs."""
-    delta_r = partial.current_delta_r()
-    alpha_r = max(
-        achieved_rate_alpha(partial.counts[(s, a)], delta_r) for s in M.states for a in M.actions[s]
-    )
+    at the relative rate error certified for all of M's pairs, that of its
+    least-sampled pair (achieved_rate_alpha does not grow with the count).
+    The per-pair rate inconfidence equals delta_tp by the split."""
+    delta_tp = partial.current_delta_tp()
+    least = min(partial.counts[(s, a)] for s in M.states for a in M.actions[s])
+    alpha_r = achieved_rate_alpha(least, delta_tp)
     bounds = find_mec_mp_bounds_exact if config.exact_mec_bounds else find_mec_mp_bounds_heuristic
-    return bounds(M, partial, alpha_r, beta, partial.current_delta_tp())
+    return bounds(M, partial, alpha_r, beta, delta_tp)
 
 
 def _refine_mec_ctmdp(M, oracle, partial, config, rng, start=None, deadline=None):

@@ -188,17 +188,12 @@ class PartialModel:
         return max(1, len(self.counts))
 
     def current_delta_tp(self) -> float:
-        """Per-transition inconfidence at the current discovery horizon."""
+        """Per-transition inconfidence at the current discovery horizon; for
+        a CTMDP, the split makes it the per-pair rate inconfidence too."""
         if self.ctmdp:
             d1, _ = split_mp_inconfidence(self.delta_mp, self.p_min)
             return tp_inconfidence(d1, self.p_min, self.num_pairs())
         return tp_inconfidence(self.delta_mp, self.p_min, self.num_pairs())
-
-    def current_delta_r(self) -> float:
-        """Per-rate inconfidence (CTMDP); equals current_delta_tp by the
-        split construction."""
-        _, d2 = split_mp_inconfidence(self.delta_mp, self.p_min)
-        return d2 / self.num_pairs()
 
     def grey_equations(self, s: int, a: str, style: str | None = None) -> bool:
         """Whether the residual-to-seen-extremes update is used for (s,a)."""

@@ -28,11 +28,6 @@ def tp_width(count: int, delta_tp: float) -> float:
     return min(1.0, math.sqrt(math.log(delta_tp) / (-2.0 * count)))
 
 
-def lower_tp_estimate(count_sat: int, count_total: int, width: float) -> float:
-    """Pessimistic transition probability max(0, frequency - width)."""
-    return max(0.0, count_sat / count_total - width)
-
-
 def ec_required_samples(delta_tp: float, p_min: float) -> int:
     """Samples per staying pair before a candidate EC counts as delta_tp-sure:
     ceil(ln(delta_tp) / ln(1 - p_min)), at least 1."""

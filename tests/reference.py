@@ -1,5 +1,6 @@
 """Reference implementations that the tests check the package against.
 
+lower_tp_estimate is the pessimistic probability of one successor.
 bellman_blackbox and bellman_greybox evaluate one interval Bellman row by
 a per-row loop, independent of the packed row kernel. global_update is one
 sweep of that kernel with the values read from and written to the partial
@@ -19,7 +20,12 @@ import math
 from mppac.graph import ClosedMec, MecRecord, best_leaving_action
 from mppac.learn_ctmdp import update_mec_value_ctmdp
 from mppac.learn_mdp import PartialModel, _Estimates, _mec_action_values, _movement, _sweep_once
-from mppac.stats import lower_tp_estimate, tp_width
+from mppac.stats import tp_width
+
+
+def lower_tp_estimate(count_sat: int, count_total: int, width: float) -> float:
+    """Pessimistic transition probability max(0, frequency - width)."""
+    return max(0.0, count_sat / count_total - width)
 
 
 def bellman_blackbox(s: int, a: str, partial: PartialModel, delta_tp: float):

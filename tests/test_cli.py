@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mppac import LearnerConfig, load_model
@@ -381,3 +386,19 @@ def test_run_one_respects_learner_config(models_dir):
     report = _run_one(model, config, seed=9)
     assert report.timed_out
     assert report.final[0] <= report.final[1]
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+@pytest.mark.parametrize("script", ["convergence_plot.py", "coverage_study.py", "golden_traces.py"])
+def test_script_help_runs_from_a_checkout_without_pythonpath(script, tmp_path):
+    # each script finds the package in the checkout's src/ by itself
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(path), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

@@ -13,17 +13,17 @@ from mppac import (
     MecRecord,
     PartialModel,
     SampleOracle,
-    boundary_rate_assignment,
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
     learner_rng,
     on_demand_bvi_ctmdp,
     rate_inconfidence,
     simulate_mec,
+    split_mp_inconfidence,
     uniformize,
     update_mec_value_ctmdp,
 )
-from mppac.learn_ctmdp import achieved_rate_alpha
+from mppac.learn_ctmdp import _threshold_rates, achieved_rate_alpha
 
 from .conftest import frozen_partial
 from .reference import ctmdp_mec_gain, heuristic_mec_bounds
@@ -58,26 +58,27 @@ def _cycle_mec():
 
 
 def test_uniformize_splits_mass_by_rate_ratio():
-    freq = {(0, "a"): {1: 1.0}, (1, "a"): {0: 1.0}}
+    rows = {(0, "a"): (3, ((1, 1.0),)), (1, "a"): (5, ((0, 1.0),))}
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
-    # C defaults to the largest rate, 2: state 1 leaves at rate 1 = C/2
-    rows = uniformize(freq, rates)
-    assert rows[(0, "a")] == pytest.approx({1: 1.0})
-    assert rows[(1, "a")] == pytest.approx({0: 0.5, 1: 0.5})
+    # C defaults to the largest rate, 2: state 1 leaves at rate 1 = C/2;
+    # counts pass through and successors stay ascending
+    assert uniformize(rows, rates) == {(0, "a"): (3, ((1, 1.0),)), (1, "a"): (5, ((0, 0.5), (1, 0.5)))}
 
 
 def test_uniformize_keeps_observed_self_loop_mass():
-    freq = {(0, "a"): {0: 0.4, 1: 0.6}}
-    rows = uniformize(freq, {(0, "a"): 1.0}, C=2.0)
+    rows = {(1, "a"): (10, ((0, 0.6), (1, 0.4)))}
+    (n, row), = uniformize(rows, {(1, "a"): 1.0}, C=2.0).values()
     # only the off-diagonal mass scales with lambda/C
-    assert rows[(0, "a")] == pytest.approx({1: 0.3, 0: 0.7})
+    assert n == 10
+    assert [t for t, _ in row] == [0, 1]
+    assert [p for _, p in row] == pytest.approx([0.3, 0.7])
 
 
 def test_uniformize_rejects_too_small_c():
-    freq = {(0, "a"): {1: 1.0}, (1, "a"): {0: 1.0}}
+    rows = {(0, "a"): (1, ((1, 1.0),)), (1, "a"): (1, ((0, 1.0),))}
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
     with pytest.raises(ValueError, match="uniformization rate"):
-        uniformize(freq, rates, C=1.0)
+        uniformize(rows, rates, C=1.0)
 
 
 def test_ctmdp_mec_gain_worked_value():
@@ -91,17 +92,28 @@ def test_ctmdp_mec_gain_validates_inputs():
         ctmdp_mec_gain((0.5, 0.5), (1.0, 0.0), (2.0, 0.0))
 
 
-def test_boundary_rate_assignment_threshold_shape():
-    lams = [1.0, 1.0, 1.0]
-    assert boundary_rate_assignment(lams, 0.2, 0, "max") == pytest.approx((1.2, 1.2, 1.2))
-    assert boundary_rate_assignment(lams, 0.2, 1, "max") == pytest.approx((0.8, 1.2, 1.2))
-    assert boundary_rate_assignment(lams, 0.2, 3, "max") == pytest.approx((0.8, 0.8, 0.8))
-    assert boundary_rate_assignment(lams, 0.2, 1, "min") == pytest.approx((1.2, 0.8, 0.8))
+def test_threshold_rates_shape():
+    # a 3-cycle with rate estimates 2, 1, 4 and rewards 0, 1, 0.5: the
+    # reward order is 1, 2, 0, and the first j of it run slow for "max"
+    partial = frozen_partial(
+        {(0, "a", 1): 10, (1, "a", 2): 10, (2, "a", 0): 10},
+        rewards={0: 0.0, 1: 1.0, 2: 0.5},
+        dwell_sums={(0, "a"): 5.0, (1, "a"): 10.0, (2, "a"): 2.5},
+        ctmdp=True,
+    )
+    M = MecRecord(states=frozenset({0, 1, 2}), actions={s: frozenset({"a"}) for s in range(3)})
+    lam, C, rates = _threshold_rates(M, partial, 0.2)
+    assert lam == {(0, "a"): 2.0, (1, "a"): 1.0, (2, "a"): 4.0}
+    assert C == pytest.approx(4.8)
 
+    def factors(j, direction):
+        return [rates(j, direction)[(s, "a")] / lam[(s, "a")] for s in (1, 2, 0)]
 
-def test_boundary_rate_assignment_rejects_unknown_direction():
-    with pytest.raises(ValueError, match="direction"):
-        boundary_rate_assignment([1.0], 0.1, 0, "sideways")
+    assert factors(0, "max") == pytest.approx([1.2, 1.2, 1.2])
+    assert factors(1, "max") == pytest.approx([0.8, 1.2, 1.2])
+    assert factors(3, "max") == pytest.approx([0.8, 0.8, 0.8])
+    assert factors(1, "min") == pytest.approx([1.2, 0.8, 0.8])
+    assert factors(2, "min") == pytest.approx([1.2, 1.2, 0.8])
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +295,9 @@ def test_ctmdp_split_keeps_tp_and_rate_inconfidence_equal(delta, p_min, pairs):
     # induce equal per-pair inconfidences; an MDP spends all of it on
     # transitions, delta * p_min / pairs each
     partial = _partial_with_pairs(delta, p_min, pairs, ctmdp=True)
-    assert partial.current_delta_tp() == pytest.approx(partial.current_delta_r(), rel=1e-9)
-    shares = (partial.current_delta_tp() / p_min + partial.current_delta_r()) * pairs
+    delta_r = split_mp_inconfidence(delta, p_min)[1] / pairs
+    assert partial.current_delta_tp() == pytest.approx(delta_r, rel=1e-9)
+    shares = (partial.current_delta_tp() / p_min + delta_r) * pairs
     assert shares == pytest.approx(delta, rel=1e-9)
     mdp = _partial_with_pairs(delta, p_min, pairs, ctmdp=False)
     assert mdp.current_delta_tp() == pytest.approx(delta * p_min / pairs, rel=1e-12)

@@ -15,7 +15,6 @@ from mppac import (
     PartialModel,
     ec_required_samples,
     greybox_miss_probability,
-    lower_tp_estimate,
     rate_inconfidence,
     rate_samples,
     split_mp_inconfidence,
@@ -25,7 +24,7 @@ from mppac import (
 from mppac.learn_ctmdp import _pair_rates
 
 from .conftest import frozen_partial
-from .reference import chernoff_log_term, chernoff_minimizers
+from .reference import chernoff_log_term, chernoff_minimizers, lower_tp_estimate
 
 # ---------------------------------------------------------------------------
 # transition-probability bounds
@@ -284,12 +283,12 @@ def test_split_preserves_total_inconfidence(delta, p_min):
 )
 @settings(deadline=None)
 def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
-    # the per-pair transition and rate inconfidences coincide, and the two
-    # shares of delta_mp add back up to it
+    # the per-pair transition inconfidence equals the rate share spread over
+    # the pairs, and the two shares of delta_mp add back up to it
     partial = PartialModel(p_min, delta_mp=delta, ctmdp=True)
     partial.counts = dict.fromkeys(((s, "a") for s in range(pairs)), 0)
-    assert partial.current_delta_tp() == pytest.approx(partial.current_delta_r(), rel=1e-9)
     d1, d2 = split_mp_inconfidence(delta, p_min)
+    assert partial.current_delta_tp() == pytest.approx(d2 / pairs, rel=1e-9)
     assert d1 + d2 == pytest.approx(delta)
 
 
