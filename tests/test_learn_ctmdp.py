@@ -67,7 +67,7 @@ def test_uniformize_splits_mass_by_rate_ratio():
 
 def test_uniformize_keeps_observed_self_loop_mass():
     rows = {(1, "a"): (10, ((0, 0.6), (1, 0.4)))}
-    (n, row), = uniformize(rows, {(1, "a"): 1.0}, C=2.0).values()
+    n, row = uniformize(rows, {(1, "a"): 1.0}, C=2.0)[(1, "a")]
     # only the off-diagonal mass scales with lambda/C
     assert n == 10
     assert [t for t, _ in row] == [0, 1]
