@@ -29,7 +29,6 @@ TABLE_DELTAS = (0.10, 0.05, 1e-4, 1e-7)
 @dataclass(frozen=True)
 class RunConfig:
     model_path: str
-    kind: str | None = None  # optional cross-check against the file header
     mode: str = "blackbox"
     learner: LearnerConfig = LearnerConfig()
     csv_path: str | None = None
@@ -38,7 +37,7 @@ class RunConfig:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Seed lists come as 'A..B' (inclusive) or comma-separated values."""
+    """Seeds come as 'N', 'A..B' (inclusive) or comma-separated values."""
     text = text.strip()
     if ".." in text:
         a, b = text.split("..", 1)
@@ -136,9 +135,9 @@ def _write_svg(path: str, traces: dict) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _suffixed(path: str, seed: int) -> str:
+def _suffixed(path: str, seed: int, default_ext: str) -> str:
     root, ext = os.path.splitext(path)
-    return f"{root}_s{seed}{ext or '.csv'}"
+    return f"{root}_s{seed}{ext or default_ext}"
 
 
 def _print_report(report: BoundsReport) -> None:
@@ -157,9 +156,6 @@ def run(config: RunConfig) -> int:
     except (OSError, ModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if config.kind is not None and config.kind != model.kind:
-        print(f"error: --kind {config.kind} but the file declares {model.kind}", file=sys.stderr)
-        return 2
 
     if len(config.seeds) == 1:
         report = _run_one(model, config, config.seeds[0])
@@ -176,9 +172,9 @@ def run(config: RunConfig) -> int:
     reports = [_run_one(model, config, seed) for seed in config.seeds]
     for seed, report in zip(config.seeds, reports):
         if config.csv_path:
-            _write_csv(_suffixed(config.csv_path, seed), report)
+            _write_csv(_suffixed(config.csv_path, seed, ".csv"), report)
         if config.svg_path:
-            _write_svg(_suffixed(config.svg_path, seed), {"": report.trace})
+            _write_svg(_suffixed(config.svg_path, seed, ".svg"), {"": report.trace})
         low, up = report.final
         print(f"seed {seed}: [{low:.6g}, {up:.6g}] width {up - low:.6g}")
     try:
@@ -256,18 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="learn anytime mean-payoff bounds for a model")
     p_run.add_argument("--model", required=True, help="model file (.mdp/.ctmdp text format)")
-    p_run.add_argument("--kind", choices=("mdp", "ctmdp"), help="cross-check the file header")
     p_run.add_argument("--mode", choices=MODES, default="blackbox")
     p_run.add_argument("--epsilon", type=float, default=0.01, help="target half-width ε")
     p_run.add_argument("--delta", type=float, default=0.1, help="overall inconfidence δ")
-    p_run.add_argument("--revisit-threshold", type=int, default=6)
     p_run.add_argument("--episodes-per-round", type=int, default=10_000)
     p_run.add_argument("--timeout-s", type=float, default=1800.0)
-    p_run.add_argument("--seed", type=int, default=None, help="default: $MPPAC_SEED or 0")
-    p_run.add_argument("--seeds", help="run once per seed: 'A..B' inclusive or comma list")
-    p_run.add_argument("--repeat", type=int, default=1, help="number of consecutive seeds")
-    p_run.add_argument("--max-episode-steps", type=int, default=0)
-    p_run.add_argument("--csv", help="trace output path (per-seed suffix when repeated)")
+    p_run.add_argument("--seed", default="0", help="N, or one run per seed: 'A..B' inclusive or comma list")
+    p_run.add_argument("--csv", help="trace output path (per-seed suffix for several seeds)")
     p_run.add_argument("--svg", help="convergence plot path")
     p_run.add_argument("--anytime", action="store_true", help="ignore the termination test")
     p_run.add_argument("--exact-mec-bounds", action="store_true", help="CTMDP rate sweep")
@@ -285,31 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if args.seed is not None else int(os.environ.get("MPPAC_SEED", "0"))
+    # _run_one sets the learner's seed from seeds, one run per seed
     learner = LearnerConfig(
         epsilon_mp=args.epsilon,
         delta_mp=args.delta,
-        revisit_threshold=args.revisit_threshold,
         episodes_per_round=args.episodes_per_round,
         precision_mode="absolute" if args.absolute else "relative",
         timeout_s=args.timeout_s,
-        seed=seed,
         anytime=args.anytime,
         exact_mec_bounds=args.exact_mec_bounds,
-        max_episode_steps=args.max_episode_steps,
     )
-    if args.seeds:
-        seeds = _parse_seeds(args.seeds)
-    else:
-        seeds = tuple(seed + i for i in range(max(1, args.repeat)))
     return RunConfig(
         model_path=args.model,
-        kind=args.kind,
         mode=args.mode,
         learner=learner,
         csv_path=args.csv,
         svg_path=args.svg,
-        seeds=seeds,
+        seeds=_parse_seeds(args.seed),
     )
 
 

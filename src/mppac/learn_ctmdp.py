@@ -56,15 +56,13 @@ def achieved_rate_alpha(count: int, delta_r: float) -> float:
 # uniformization
 
 
-def uniformize(rows: dict, rates: dict, C: float | None = None) -> dict:
+def uniformize(rows: dict, rates: dict, C: float) -> dict:
     """Uniformize the rows of the pairs in rates at those exit rates. rows
     and the result map (s,a) to (count, ((t, probability), ...)) with
     successors ascending, as PartialModel.row gives them: off-diagonal mass
-    frequency·λ/C, the remainder as a self-loop. C defaults to the largest
-    rate."""
+    frequency·λ/C, the remainder as a self-loop. C must be at least the
+    largest rate."""
     lam_max = max(rates.values())
-    if C is None:
-        C = lam_max
     if C < lam_max * (1.0 - 1e-12):
         raise ValueError(f"uniformization rate {C:.6g} below assigned rate {lam_max:.6g}")
     out = {}
@@ -83,14 +81,12 @@ def update_mec_value_ctmdp(
     rates: dict,
     partial: PartialModel,
     beta: float,
-    delta_tp: float | None = None,
-    C: float | None = None,
+    delta_tp: float,
+    C: float,
 ):
     """Gain bounds of M under one concrete rate assignment: uniformize the
     observed frequencies at those rates, then run interval VI with widths
     from the counts."""
-    if delta_tp is None:
-        delta_tp = partial.current_delta_tp()
     observed = {(s, a): partial.row(s, a) for s in M.states for a in M.actions[s]}
     rewards = {s: partial.scaled_reward(s) for s in M.states}
     return _interval_gain_vi(M, uniformize(observed, rates, C), rewards, delta_tp, beta)
@@ -132,7 +128,7 @@ def find_mec_mp_bounds_exact(
     partial: PartialModel,
     alpha_r: float,
     beta: float,
-    delta_tp: float | None = None,
+    delta_tp: float,
 ):
     """Gain bounds over all rates within relative error alpha_r: sweep the
     threshold assignments over reward-sorted states in both directions,
@@ -162,7 +158,7 @@ def find_mec_mp_bounds_heuristic(
     partial: PartialModel,
     alpha_r: float,
     beta: float,
-    delta_tp: float | None = None,
+    delta_tp: float,
 ):
     """Three-call approximation: estimate the gain v̂ at the plain rates,
     then take the sweep's threshold assignments at the states earning at
@@ -193,7 +189,7 @@ def _bound_mec_gain_ctmdp(M, partial, config, beta):
     return bounds(M, partial, alpha_r, beta, delta_tp)
 
 
-def _refine_mec_ctmdp(M, oracle, partial, config, rng, start=None, deadline=None):
+def _refine_mec_ctmdp(M, oracle, partial, config, rng, start, deadline=None):
     return update_mec_value(M, oracle, partial, config, rng, start, deadline, _bound_mec_gain_ctmdp)
 
 
@@ -202,4 +198,4 @@ def on_demand_bvi_ctmdp(oracle, config: LearnerConfig | None = None) -> BoundsRe
     if oracle.kind != CTMDP:
         raise ValueError("oracle does not expose a CTMDP")
     config = config or LearnerConfig()
-    return _learn(oracle, config, _refine_mec_ctmdp, ctmdp=True)
+    return _learn(oracle, config, _refine_mec_ctmdp)

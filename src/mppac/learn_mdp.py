@@ -27,7 +27,7 @@ from .graph import (
     leaving_pairs,
     mec_decomposition,
 )
-from .model import BLACKBOX, GREYBOX, learner_rng
+from .model import BLACKBOX, CTMDP, GREYBOX, MDP, learner_rng
 from .stats import (
     ec_required_samples,
     greybox_miss_probability,
@@ -50,6 +50,7 @@ VIRTUAL_STEP_SECONDS = 1e-6
 APERIODICITY = 0.95  # y: weight of the real rows against a virtual self-loop in MEC VI
 FIXPOINT_TOL = 1e-6  # a VI phase stops once no value moves more than this
 GAIN_VI_MAX_SWEEPS = 10_000  # interval gain VI returns its (still sound) bounds after this many sweeps
+REVISIT_THRESHOLD = 6  # k: an episode checks a state for a loop at every k-th visit
 INITIAL_MEC_SAMPLES = 10_000  # the MEC walk's first per-successor budget
 MEC_SAMPLE_MULTIPLIER = 5  # growth of the MEC walk's per-successor budget
 
@@ -58,15 +59,19 @@ MEC_SAMPLE_MULTIPLIER = 5  # growth of the MEC walk's per-successor budget
 class LearnerConfig:
     epsilon_mp: float = 0.01
     delta_mp: float = 0.1
-    revisit_threshold: int = 6  # k: path occurrences before a loop check
     episodes_per_round: int = 10_000  # n
     precision_mode: str = "relative"  # "relative" | "absolute"
     timeout_s: float = 1800.0
     seed: int = 0
     update_style: str = BLACKBOX_UPDATES  # "blackbox" | "greybox-equations"
-    max_episode_steps: int = 0  # 0 = unbounded episodes
     anytime: bool = False  # drop the termination test, run to timeout
     exact_mec_bounds: bool = False  # CTMDP only: full sweep instead of 3 VI calls
+
+    def __post_init__(self):
+        if self.update_style not in (BLACKBOX_UPDATES, GREYBOX_UPDATES):
+            raise ValueError(f"unknown update_style {self.update_style!r}")
+        if self.precision_mode not in ("relative", "absolute"):
+            raise ValueError(f"unknown precision_mode {self.precision_mode!r}")
 
 
 @dataclass
@@ -195,10 +200,9 @@ class PartialModel:
             return tp_inconfidence(d1, self.p_min, self.num_pairs())
         return tp_inconfidence(self.delta_mp, self.p_min, self.num_pairs())
 
-    def grey_equations(self, s: int, a: str, style: str | None = None) -> bool:
+    def grey_equations(self, s: int, a: str) -> bool:
         """Whether the residual-to-seen-extremes update is used for (s,a)."""
-        style = self.update_style if style is None else style
-        if style != GREYBOX_UPDATES:
+        if self.update_style != GREYBOX_UPDATES:
             return False
         if self.info_level == GREYBOX:
             total = self.succ_total.get((s, a))
@@ -313,11 +317,11 @@ class _Estimates(_Rows):
     whose value stays fixed. Pair rows follow the states' action order.
     """
 
-    def __init__(self, partial: PartialModel, style: str | None = None):
+    def __init__(self, partial: PartialModel):
         self.states = list(partial.available)
         self.pairs = [(s, a) for s in self.states for a in partial.available[s]]
         slot = {s: i for i, s in enumerate(self.states)}
-        rows = [(*partial.row(s, a), partial.grey_equations(s, a, style)) for s, a in self.pairs]
+        rows = [(*partial.row(s, a), partial.grey_equations(s, a)) for s, a in self.pairs]
         per_state = [len(partial.available[s]) for s in self.states]
         super().__init__(rows, per_state, slot, partial.current_delta_tp())
         self.fixed = list(slot)[len(self.states):]
@@ -509,29 +513,25 @@ def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
     return None
 
 
-def simulate_episode(oracle, partial: PartialModel, config: LearnerConfig, rng, deadline=None):
+def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
     """One episode from the initial state, ending in a terminal pseudo-state
-    (or aborted by the step cap / timeout, leaving counts valid)."""
-    k = config.revisit_threshold
+    (or aborted by the timeout, leaving counts valid)."""
+    k = REVISIT_THRESHOLD
     partial.discover(oracle.init, oracle)
     path = [oracle.init]
     appear = {oracle.init: 1}
-    steps = 0
     while True:
         s = path[-1]
         if s in TERMINALS:
             return path
-        if config.max_episode_steps and steps >= config.max_episode_steps:
-            return path
         if deadline is not None and time.monotonic() >= deadline:
             return path
         t = _take(oracle, partial, rng, s, _choose_action(s, partial, rng))
-        steps += 1
         path.append(t)
         if t in TERMINALS:
             continue
         appear[t] = appear.get(t, 0) + 1
-        if appear[t] >= k and appear[t] % k == 0:
+        if appear[t] % k == 0:
             # a state already carrying a confirmed stay record needs no new
             # loop analysis; re-deriving from the current (partial) path
             # could even shrink the record and discard its learned gains
@@ -545,7 +545,6 @@ def simulate_episode(oracle, partial: PartialModel, config: LearnerConfig, rng, 
                     rec, _mec_action_values(partial, rec), partial.available, partial.post
                 )
                 t = _take(oracle, partial, rng, ls, la)
-                steps += 1
                 path.append(t)
                 if t not in TERMINALS:
                     appear[t] = appear.get(t, 0) + 1
@@ -681,7 +680,7 @@ def update_mec_value(
     partial: PartialModel,
     config: LearnerConfig,
     rng,
-    start: int | None = None,
+    start: int,
     deadline=None,
     bound=_bound_mec_gain,
 ):
@@ -709,10 +708,7 @@ def update_mec_value(
     refit()
     if not _needs_refinement(M, partial, config):
         return M.gain_lower, M.gain_upper
-    n_samples = compute_n_samples(M, partial)
-    if start is None or start not in M.states:
-        start = min(M.states)
-    if not simulate_mec(M, oracle, n_samples, rng, partial, start, deadline):
+    if not simulate_mec(M, oracle, compute_n_samples(M, partial), rng, partial, start, deadline):
         drop_stale_record(M, partial)
         return None
     refit()
@@ -735,7 +731,7 @@ def _needs_refinement(rec: MecRecord, partial: PartialModel, config: LearnerConf
     return rec.gain_upper - rec.gain_lower >= _termination_width(partial, config) / 2.0
 
 
-def _learn(oracle, config: LearnerConfig, refine, ctmdp: bool) -> BoundsReport:
+def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
     t0 = time.monotonic()
     deadline = t0 + config.timeout_s if config.timeout_s else None
     rng = learner_rng(config.seed)
@@ -744,7 +740,7 @@ def _learn(oracle, config: LearnerConfig, refine, ctmdp: bool) -> BoundsReport:
         delta_mp=config.delta_mp,
         update_style=config.update_style,
         info_level=oracle.info_level,
-        ctmdp=ctmdp,
+        ctmdp=oracle.kind == CTMDP,
     )
     partial.discover(oracle.init, oracle)
     trace: list[tuple[float, int, float, float]] = []
@@ -760,15 +756,13 @@ def _learn(oracle, config: LearnerConfig, refine, ctmdp: bool) -> BoundsReport:
             if deadline is not None and time.monotonic() >= deadline:
                 timed_out = True
                 break
-            path = simulate_episode(oracle, partial, config, rng, deadline)
+            path = simulate_episode(oracle, partial, rng, deadline)
             episodes += 1
             last = path[-1]
-            if last not in TERMINALS:
-                if deadline is not None and time.monotonic() >= deadline:
-                    timed_out = True
-                    break
-                continue  # step-capped episode; counts are still valid
-            if last in (PLUS, UNKNOWN) and len(path) >= 2:
+            if last not in TERMINALS:  # only the deadline cuts an episode short
+                timed_out = True
+                break
+            if last in (PLUS, UNKNOWN):
                 rec = partial.stay_of.get(path[-2])
                 if rec is not None and id(rec) not in refined:
                     refined.add(id(rec))
@@ -806,5 +800,7 @@ def _learn(oracle, config: LearnerConfig, refine, ctmdp: bool) -> BoundsReport:
 
 def on_demand_bvi(oracle, config: LearnerConfig | None = None) -> BoundsReport:
     """Learn PAC mean-payoff bounds for the MDP behind the oracle."""
+    if oracle.kind != MDP:
+        raise ValueError("oracle does not expose an MDP; use on_demand_bvi_ctmdp")
     config = config or LearnerConfig()
-    return _learn(oracle, config, update_mec_value, ctmdp=False)
+    return _learn(oracle, config, update_mec_value)

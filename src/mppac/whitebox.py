@@ -16,7 +16,8 @@ import numpy as np
 from .graph import MINUS, PLUS, STAY, MecRecord, _sccs, mec_decomposition
 from .model import CTMDP, ExplicitModel
 
-BETA = 1e-6  # default oracle tolerance
+BETA = 1e-6  # oracle tolerance
+POLICY_LIMIT = 300_000  # most positional policies enumerate_policies_gain tries
 APERIODICITY = 0.95  # virtual self-loop weight for gain value iteration
 
 
@@ -40,13 +41,13 @@ def _solver_rows(m: ExplicitModel) -> dict:
     return _uniform_rows(m) if m.kind == CTMDP else m.rows
 
 
-def _relative_vi_gain(states, actions, rows, reward, beta) -> float:
+def _relative_vi_gain(states, actions, rows, reward) -> float:
     """Maximal gain of a communicating sub-MDP by relative value iteration.
 
     A virtual self-loop of mass 1-y per state-action forces aperiodicity
     without changing any policy's stationary distribution (hence gain).
-    Stops when the update-difference span drops below beta; the midpoint of
-    the span is then within beta of the optimal gain.
+    Stops when the update-difference span drops below BETA; the midpoint of
+    the span is then within BETA of the optimal gain.
     """
     idx = {s: i for i, s in enumerate(states)}
     y = APERIODICITY
@@ -64,20 +65,19 @@ def _relative_vi_gain(states, actions, rows, reward, beta) -> float:
             new.append(reward[s] + y * best + (1.0 - y) * h[idx[s]])
         deltas = [nv - ov for nv, ov in zip(new, h)]
         lo, hi = min(deltas), max(deltas)
-        if hi - lo <= beta:
+        if hi - lo <= BETA:
             return (hi + lo) / 2.0
         base = new[0]  # renormalize so values stay bounded
         h = [v - base for v in new]
 
 
-def exact_mec_gain(mec: MecRecord, model: ExplicitModel, beta: float = BETA) -> float:
+def exact_mec_gain(mec: MecRecord, model: ExplicitModel) -> float:
     """Maximal mean payoff achievable inside a MEC, in reward units."""
     return _relative_vi_gain(
         states=sorted(mec.states),
         actions={s: sorted(mec.actions[s]) for s in mec.states},
         rows=_solver_rows(model),
         reward=model.reward,
-        beta=beta,
     )
 
 
@@ -95,7 +95,7 @@ class WeightedQuotient:
     r_max: float
 
 
-def build_weighted_quotient(model: ExplicitModel, beta: float = BETA) -> WeightedQuotient:
+def build_weighted_quotient(model: ExplicitModel) -> WeightedQuotient:
     rows = _solver_rows(model)
     r_max = model.r_max
     mecs = mec_decomposition({sa: frozenset(row) for sa, row in rows.items()})
@@ -117,7 +117,7 @@ def build_weighted_quotient(model: ExplicitModel, beta: float = BETA) -> Weighte
     qrows: dict = {}
     for i, M in enumerate(mecs):
         node = model.state_count + i
-        gain = exact_mec_gain(M, model, beta)
+        gain = exact_mec_gain(M, model)
         fi = min(1.0, max(0.0, gain / r_max)) if r_max > 0 else 0.0
         f[node] = fi
         keys = [STAY]
@@ -146,13 +146,13 @@ def build_weighted_quotient(model: ExplicitModel, beta: float = BETA) -> Weighte
     )
 
 
-def _max_reachability(q: WeightedQuotient, beta: float) -> dict:
+def _max_reachability(q: WeightedQuotient) -> dict:
     """Least fixed point of the max-reachability operator toward PLUS,
     by Gauss-Seidel iteration from zero."""
     v = {node: 0.0 for node in q.nodes}
     v[PLUS] = 1.0
     v[MINUS] = 0.0
-    tol = min(beta, 1e-9) / 8.0
+    tol = min(BETA, 1e-9) / 8.0
     while True:
         change = 0.0
         for node in q.nodes:
@@ -170,14 +170,14 @@ def _max_reachability(q: WeightedQuotient, beta: float) -> dict:
             return v
 
 
-def exact_mean_payoff(model: ExplicitModel, beta: float = BETA) -> float:
+def exact_mean_payoff(model: ExplicitModel) -> float:
     """Maximum expected mean payoff from the initial state, in reward units:
     r_max times the maximal probability of reaching PLUS in the weighted
     MEC quotient. CTMDPs are uniformized exactly first."""
     if model.r_max <= 0.0:
         return 0.0
-    q = build_weighted_quotient(model, beta)
-    return q.r_max * _max_reachability(q, beta)[q.init]
+    q = build_weighted_quotient(model)
+    return q.r_max * _max_reachability(q)[q.init]
 
 
 def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
@@ -212,11 +212,11 @@ def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
     return total
 
 
-def enumerate_policies_gain(model: ExplicitModel, limit: int = 300_000) -> float:
+def enumerate_policies_gain(model: ExplicitModel) -> float:
     """Exact maximal gain by brute force over positional policies.
 
     Only for desk-scale models: refuses more than 8 states or more than
-    `limit` policies.
+    POLICY_LIMIT policies.
     """
     n = model.state_count
     if n > 8:
@@ -224,8 +224,8 @@ def enumerate_policies_gain(model: ExplicitModel, limit: int = 300_000) -> float
     total = 1
     for av in model.actions:
         total *= len(av)
-        if total > limit:
-            raise ValueError(f"too many positional policies (> {limit})")
+        if total > POLICY_LIMIT:
+            raise ValueError(f"too many positional policies (> {POLICY_LIMIT})")
 
     rows = _solver_rows(model)
     r = np.asarray(model.reward, dtype=float)

@@ -67,10 +67,12 @@ def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
 def global_update(partial: PartialModel, update_style: str | None = None, tol: float = 1e-6) -> bool:
     """One synchronous Bellman sweep; True iff any value moved more than tol.
 
-    update_style overrides the partial model's own style (used to compare
-    blackbox and greybox updates on identical counts).
+    update_style, if given, replaces the partial model's own style (used to
+    compare blackbox and greybox updates on identical counts).
     """
-    est = _Estimates(partial, update_style)
+    if update_style is not None:
+        partial.update_style = update_style
+    est = _Estimates(partial)
     L, U = est.values(partial)
     pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
     est.store(partial, new_l, new_u, pair_l, pair_u)
@@ -109,7 +111,7 @@ def ctmdp_mec_gain(pi, r, lam) -> float:
     return num / den
 
 
-def heuristic_mec_bounds(M: MecRecord, partial: PartialModel, alpha_r: float, beta: float, delta_tp=None):
+def heuristic_mec_bounds(M: MecRecord, partial: PartialModel, alpha_r: float, beta: float, delta_tp: float):
     """Gain bounds at the plain rate estimates count / dwell sum, then at
     two assignments built pair by pair: a "fast" one that speeds up the
     pairs of states earning at least the plain gain estimate and slows down

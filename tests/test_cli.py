@@ -21,6 +21,7 @@ from mppac.cli import (
     build_parser,
     config_from_args,
     main,
+    run,
 )
 from mppac.stats import rate_samples
 
@@ -57,12 +58,12 @@ def test_parse_seeds_rejects_garbage():
 
 
 def test_suffixed_inserts_seed_before_extension():
-    assert _suffixed("out.csv", 3) == "out_s3.csv"
-    assert _suffixed("plot.svg", 12) == "plot_s12.svg"
+    assert _suffixed("out.csv", 3, ".csv") == "out_s3.csv"
+    assert _suffixed("plot.svg", 12, ".svg") == "plot_s12.svg"
 
 
 def test_suffixed_defaults_to_csv_extension():
-    assert _suffixed("trace", 7) == "trace_s7.csv"
+    assert _suffixed("trace", 7, ".csv") == "trace_s7.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,6 @@ def test_config_flags_map_to_learner_fields():
             "--epsilon", "0.05",
             "--delta", "0.02",
             "--timeout-s", "9.5",
-            "--max-episode-steps", "123",
             "--anytime",
             "--exact-mec-bounds",
             "--absolute",
@@ -99,34 +99,14 @@ def test_config_flags_map_to_learner_fields():
     assert config.learner.epsilon_mp == 0.05
     assert config.learner.delta_mp == 0.02
     assert config.learner.timeout_s == 9.5
-    assert config.learner.max_episode_steps == 123
     assert config.learner.anytime
     assert config.learner.exact_mec_bounds
     assert config.learner.precision_mode == "absolute"
 
 
-def test_config_repeat_expands_consecutive_seeds():
-    config = config_from_args(_run_args("--seed", "5", "--repeat", "3"))
-    assert config.seeds == (5, 6, 7)
-
-
-def test_config_seeds_flag_wins_over_repeat():
-    config = config_from_args(_run_args("--seeds", "1,2", "--repeat", "5"))
-    assert config.seeds == (1, 2)
-
-
-def test_seed_env_fallback(monkeypatch):
-    monkeypatch.setenv("MPPAC_SEED", "42")
-    config = config_from_args(_run_args())
-    assert config.learner.seed == 42
-    assert config.seeds == (42,)
-
-
-def test_explicit_seed_beats_env(monkeypatch):
-    monkeypatch.setenv("MPPAC_SEED", "42")
-    config = config_from_args(_run_args("--seed", "7"))
-    assert config.learner.seed == 7
-    assert config.seeds == (7,)
+@pytest.mark.parametrize("text, seeds", [("7", (7,)), ("5..7", (5, 6, 7)), ("1,4", (1, 4))])
+def test_config_seed_takes_the_seed_list_grammar(text, seeds):
+    assert config_from_args(_run_args("--seed", text)).seeds == seeds
 
 
 def test_parser_rejects_unknown_mode():
@@ -284,14 +264,6 @@ def test_run_single_seed_writes_csv_and_svg(models_dir, tmp_path, capsys):
     assert "upper bound" in svg and "lower bound" in svg
 
 
-def test_run_kind_crosscheck_mismatch_exits_2(models_dir, capsys):
-    code = main(
-        ["run", "--model", str(models_dir / "two_mec.mdp"), "--kind", "ctmdp"]
-    )
-    assert code == 2
-    assert "declares mdp" in capsys.readouterr().err
-
-
 def test_run_missing_model_exits_2(tmp_path, capsys):
     assert main(["run", "--model", str(tmp_path / "nope.mdp")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -299,7 +271,7 @@ def test_run_missing_model_exits_2(tmp_path, capsys):
 
 def test_run_bad_seed_list_exits_2(models_dir, capsys):
     code = main(
-        ["run", "--model", str(models_dir / "two_mec.mdp"), "--seeds", "9..1"]
+        ["run", "--model", str(models_dir / "two_mec.mdp"), "--seed", "9..1"]
     )
     assert code == 2
     assert "empty seed range" in capsys.readouterr().err
@@ -313,7 +285,7 @@ def test_run_multi_seed_writes_per_seed_files_and_coverage(
         [
             "run",
             "--model", str(models_dir / "two_mec.mdp"),
-            "--seeds", "1..3",
+            "--seed", "1..3",
             "--csv", str(csv_path),
         ]
     )
@@ -327,13 +299,21 @@ def test_run_multi_seed_writes_per_seed_files_and_coverage(
     assert "mean width" in out
 
 
+def test_run_multi_seed_keeps_csv_and_svg_apart_without_extensions(models_dir, tmp_path):
+    out = str(tmp_path / "out")
+    config = RunConfig(str(models_dir / "two_mec.mdp"), csv_path=out, svg_path=out, seeds=(1, 2))
+    assert run(config) == 0
+    for seed in (1, 2):
+        assert _read_trace(tmp_path / f"out_s{seed}.csv")
+        assert (tmp_path / f"out_s{seed}.svg").read_text().startswith("<svg ")
+
+
 def test_run_dispatches_ctmdp_models(models_dir, tmp_path, capsys):
     csv_path = tmp_path / "ct.csv"
     code = main(
         [
             "run",
             "--model", str(models_dir / "nonuniform.ctmdp"),
-            "--kind", "ctmdp",
             "--seed", "3",
             "--csv", str(csv_path),
         ]

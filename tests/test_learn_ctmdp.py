@@ -16,6 +16,7 @@ from mppac import (
     find_mec_mp_bounds_exact,
     find_mec_mp_bounds_heuristic,
     learner_rng,
+    on_demand_bvi,
     on_demand_bvi_ctmdp,
     rate_inconfidence,
     simulate_mec,
@@ -60,9 +61,9 @@ def _cycle_mec():
 def test_uniformize_splits_mass_by_rate_ratio():
     rows = {(0, "a"): (3, ((1, 1.0),)), (1, "a"): (5, ((0, 1.0),))}
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
-    # C defaults to the largest rate, 2: state 1 leaves at rate 1 = C/2;
+    # at C = the largest rate, 2, state 1 leaves at rate 1 = C/2;
     # counts pass through and successors stay ascending
-    assert uniformize(rows, rates) == {(0, "a"): (3, ((1, 1.0),)), (1, "a"): (5, ((0, 0.5), (1, 0.5)))}
+    assert uniformize(rows, rates, C=2.0) == {(0, "a"): (3, ((1, 1.0),)), (1, "a"): (5, ((0, 0.5), (1, 0.5)))}
 
 
 def test_uniformize_keeps_observed_self_loop_mass():
@@ -135,7 +136,9 @@ def _cycle_rates_partial(n=50_000):
 def test_update_mec_value_ctmdp_recovers_the_gain():
     partial = _cycle_rates_partial()
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
-    gl, gu = update_mec_value_ctmdp(_cycle_mec(), rates, partial, beta=1e-5)
+    gl, gu = update_mec_value_ctmdp(
+        _cycle_mec(), rates, partial, beta=1e-5, delta_tp=partial.current_delta_tp(), C=2.0
+    )
     assert gl <= 1 / 3 <= gu
     assert gu - gl < 0.05
 
@@ -162,13 +165,15 @@ def test_statistical_widths_depend_on_c_but_stay_sound():
     partial = _cycle_rates_partial()
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
     for c in (2.0, 4.0):
-        low, up = update_mec_value_ctmdp(_cycle_mec(), rates, partial, 1e-6, C=c)
+        low, up = update_mec_value_ctmdp(_cycle_mec(), rates, partial, 1e-6, partial.current_delta_tp(), C=c)
         assert low <= 1 / 3 <= up
 
 
 def test_exact_bounds_bracket_the_true_gain():
     partial = _cycle_rates_partial()
-    gl, gu = find_mec_mp_bounds_exact(_cycle_mec(), partial, alpha_r=0.05, beta=1e-5)
+    gl, gu = find_mec_mp_bounds_exact(
+        _cycle_mec(), partial, alpha_r=0.05, beta=1e-5, delta_tp=partial.current_delta_tp()
+    )
     assert gl <= 1 / 3 <= gu
     assert gu - gl < 0.1
 
@@ -176,8 +181,9 @@ def test_exact_bounds_bracket_the_true_gain():
 def test_heuristic_bounds_sit_inside_the_exact_sweep():
     partial = _cycle_rates_partial()
     beta = 1e-5
-    el, eu = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.05, beta)
-    hl, hu = find_mec_mp_bounds_heuristic(_cycle_mec(), partial, 0.05, beta)
+    delta_tp = partial.current_delta_tp()
+    el, eu = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.05, beta, delta_tp)
+    hl, hu = find_mec_mp_bounds_heuristic(_cycle_mec(), partial, 0.05, beta, delta_tp)
     assert hl >= el - 2 * beta
     assert hu <= eu + 2 * beta
     assert hl <= 1 / 3 <= hu
@@ -219,8 +225,9 @@ def test_heuristic_bounds_equal_the_pairwise_reference_exactly(case):
 
 def test_larger_rate_uncertainty_widens_the_bounds():
     partial = _cycle_rates_partial()
-    small = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.02, 1e-5)
-    large = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.2, 1e-5)
+    delta_tp = partial.current_delta_tp()
+    small = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.02, 1e-5, delta_tp)
+    large = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.2, 1e-5, delta_tp)
     assert large[1] - large[0] > small[1] - small[0]
     assert large[0] <= small[0] and small[1] <= large[1]
 
@@ -306,6 +313,13 @@ def test_ctmdp_split_keeps_tp_and_rate_inconfidence_equal(delta, p_min, pairs):
 def test_on_demand_bvi_ctmdp_rejects_mdp_oracles(two_mec):
     with pytest.raises(ValueError, match="CTMDP"):
         on_demand_bvi_ctmdp(SampleOracle(two_mec, BLACKBOX))
+
+
+def test_on_demand_bvi_rejects_ctmdp_oracles(cycle_rates):
+    # the MDP learner would learn the embedded jump chain, whose mean
+    # payoff (1/2 here) is not the CTMDP's (1/3)
+    with pytest.raises(ValueError, match="does not expose an MDP"):
+        on_demand_bvi(SampleOracle(cycle_rates, BLACKBOX))
 
 
 def test_on_demand_bvi_ctmdp_nonuniform_converges(nonuniform):

@@ -263,17 +263,18 @@ def _stay_above_every_row():
 @example(_stay_above_every_row())
 def test_array_sweep_equals_the_bellman_rows_exactly(case):
     partial, style = case
+    partial.update_style = style
     delta_tp = partial.current_delta_tp()
-    est = _Estimates(partial, style)
+    est = _Estimates(partial)
     pair_l, pair_u, new_l, new_u = _sweep_once(est, *est.values(partial))
     n = len(est.states)
     for r, (s, a) in enumerate(est.pairs):
-        bellman = bellman_greybox if partial.grey_equations(s, a, style) else bellman_blackbox
+        bellman = bellman_greybox if partial.grey_equations(s, a) else bellman_blackbox
         assert (pair_l[r], pair_u[r]) == bellman(s, a, partial, delta_tp)
     for i, s in enumerate(est.states):
         best_l = best_u = 0.0
         for a in partial.available[s]:
-            pl, pu = (bellman_greybox if partial.grey_equations(s, a, style) else bellman_blackbox)(
+            pl, pu = (bellman_greybox if partial.grey_equations(s, a) else bellman_blackbox)(
                 s, a, partial, delta_tp
             )
             best_l, best_u = max(best_l, pl), max(best_u, pu)
@@ -929,22 +930,19 @@ def test_stay_participates_in_the_choice():
 def test_simulate_episode_terminates_and_attaches_stay(two_mec):
     oracle = SampleOracle(two_mec, BLACKBOX, rng_seed=2)
     partial = frozen_partial({}, rewards={}, p_min=1.0)
-    config = LearnerConfig(seed=2)
     rng = learner_rng(2)
     for _ in range(10):
-        path = simulate_episode(oracle, partial, config, rng)
+        path = simulate_episode(oracle, partial, rng)
         assert path[0] == 0
         assert path[-1] in TERMINALS
     assert partial.stay_of  # some absorbing state earned its stay action
 
 
-def test_simulate_episode_honors_step_cap(cycle_entry):
-    oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=0)
-    partial = frozen_partial({}, rewards={}, p_min=1.0)
-    config = LearnerConfig(max_episode_steps=7, revisit_threshold=1000)
-    path = simulate_episode(oracle, partial, config, learner_rng(0))
-    assert len(path) == 8  # initial state plus the capped steps
-    assert path[-1] not in TERMINALS
+@pytest.mark.parametrize("field, value", [("update_style", GREYBOX), ("precision_mode", "Relative")])
+def test_learner_config_rejects_unknown_settings(field, value):
+    # "greybox" is the oracle's information level, not an update style
+    with pytest.raises(ValueError, match=field):
+        LearnerConfig(**{field: value})
 
 
 def test_on_demand_bvi_two_mec_converges(two_mec):
