@@ -126,10 +126,15 @@ class PartialModel:
         # greedy-choice memo: action values only move between rounds, so
         # per-state argmax lists are cached until invalidate_choices
         self._choice_cache: dict[int, tuple] = {}
+        # leaving_action memo per stay record (by id); it also depends on the
+        # observed successors, so it is cleared as well when a pair gains one
+        self._leave_cache: dict[int, tuple[int, str]] = {}
 
     def invalidate_choices(self) -> None:
-        """Anything that moves act_L/act_U or a stay gain must call this."""
+        """Anything that moves act_L/act_U or a stay gain, or replaces a
+        record, must call this."""
         self._choice_cache.clear()
+        self._leave_cache.clear()
 
     # -- discovery and counting ---------------------------------------
 
@@ -170,7 +175,12 @@ class PartialModel:
         key = (s, a)
         self.counts[key] += 1
         succ = self.post[key]
-        succ[t] = succ.get(t, 0) + 1
+        c = succ.get(t)
+        if c is None:
+            succ[t] = 1
+            self._leave_cache.clear()
+        else:
+            succ[t] = c + 1
         if dwell is not None:
             self.dwell_sum[key] = self.dwell_sum.get(key, 0.0) + dwell
 
@@ -181,6 +191,16 @@ class PartialModel:
         if n == 0:
             return 0, ()
         return n, tuple((t, c / n) for t, c in sorted(self.post[(s, a)].items()))
+
+    def leaving_action(self, rec: MecRecord) -> tuple[int, str]:
+        """best_leaving_action of a stay record at the current values and
+        observed successors."""
+        leave = self._leave_cache.get(id(rec))
+        if leave is None:
+            leave = self._leave_cache[id(rec)] = best_leaving_action(
+                rec, _mec_action_values(self, rec), self.available, self.post
+            )
+        return leave
 
     def scaled_reward(self, s: int) -> float:
         if self.r_max_seen <= 0.0:
@@ -517,21 +537,54 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
     """One episode from the initial state, ending in a terminal pseudo-state
     (or aborted by the timeout, leaving counts valid)."""
     k = REVISIT_THRESHOLD
-    partial.discover(oracle.init, oracle)
-    path = [oracle.init]
-    appear = {oracle.init: 1}
+    s = oracle.init
+    partial.discover(s, oracle)
+    path = [s]
+    appear = {s: 1}
+    # this loop dominates learning time, so the common step (a cached greedy
+    # choice of a real action) inlines _choose_action, _take and record_step
+    choices = partial._choice_cache
+    leaves = partial._leave_cache
+    available = partial.available
+    counts = partial.counts
+    post = partial.post
+    dwell_sum = partial.dwell_sum
+    sample = oracle.sample_step
+    rand = rng.random
+    monotonic = time.monotonic
     while True:
-        s = path[-1]
-        if s in TERMINALS:
+        if deadline is not None and monotonic() >= deadline:
             return path
-        if deadline is not None and time.monotonic() >= deadline:
-            return path
-        t = _take(oracle, partial, rng, s, _choose_action(s, partial, rng))
+        labels = choices.get(s)
+        if labels is None:
+            a = _choose_action(s, partial, rng)
+        elif len(labels) == 1:
+            a = labels[0]
+        else:
+            a = labels[min(int(rand() * len(labels)), len(labels) - 1)]
+        if a == STAY:
+            t = _draw_stay(partial.stay_of[s], rng)
+        else:
+            t, dwell = sample(s, a)
+            key = (s, a)
+            counts[key] += 1
+            succ = post[key]
+            c = succ.get(t)
+            if c is None:
+                succ[t] = 1
+                leaves.clear()
+            else:
+                succ[t] = c + 1
+            if dwell is not None:
+                dwell_sum[key] = dwell_sum.get(key, 0.0) + dwell
+            if t not in available:
+                partial.discover(t, oracle)
         path.append(t)
         if t in TERMINALS:
-            continue
-        appear[t] = appear.get(t, 0) + 1
-        if appear[t] % k == 0:
+            return path
+        c = appear.get(t, 0) + 1
+        appear[t] = c
+        if c % k == 0:
             # a state already carrying a confirmed stay record needs no new
             # loop analysis; re-deriving from the current (partial) path
             # could even shrink the record and discard its learned gains
@@ -541,13 +594,12 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
                 if rec is not None:
                     partial.adopt_looping_record(rec)
             if rec is not None:
-                ls, la = best_leaving_action(
-                    rec, _mec_action_values(partial, rec), partial.available, partial.post
-                )
-                t = _take(oracle, partial, rng, ls, la)
+                t = _take(oracle, partial, rng, *partial.leaving_action(rec))
                 path.append(t)
-                if t not in TERMINALS:
-                    appear[t] = appear.get(t, 0) + 1
+                if t in TERMINALS:
+                    return path
+                appear[t] = appear.get(t, 0) + 1
+        s = t
 
 
 # ---------------------------------------------------------------------------
@@ -572,34 +624,47 @@ def simulate_mec(
     record is then stale and must be dropped by the caller."""
     n_succ = sum(len(partial.post[(s, a)]) for s in M.states for a in M.actions[s])
     steps = n_samples * max(1, n_succ)
-    acts = {s: sorted(M.actions[s]) for s in M.states}
-    # this loop dominates refinement time, so record_step is inlined and the
-    # uniform draw skipped when there is only one action to draw from
+    # This loop dominates refinement time. It draws an action only where
+    # there is a choice, and it keeps the counts and dwell sums of M's pairs
+    # in per-pair slots: the same sums in the same order as record_step,
+    # written back to the partial model when the walk stops.
+    counts = partial.counts
+    post = partial.post
+    dwell_sum = partial.dwell_sum
+    pairs = [(s, a) for s in sorted(M.states) for a in sorted(M.actions[s])]
+    slot = {sa: j for j, sa in enumerate(pairs)}
+    acts = {s: [(a, slot[(s, a)]) for a in sorted(M.actions[s])] for s in M.states}
+    n = [counts[sa] for sa in pairs]
+    succs = [post[sa] for sa in pairs]
+    dwells = [dwell_sum.get(sa) for sa in pairs]  # None until a pair has a dwell
     states = M.states
     sample = oracle.sample_step
     rand = rng.random
     monotonic = time.monotonic
-    counts = partial.counts
-    post = partial.post
-    dwell_sum = partial.dwell_sum
     s = start
-    for i in range(steps):
-        if deadline is not None and (i & 0xFFF) == 0 and monotonic() >= deadline:
-            return True  # keep what was learned; the caller is out of time
-        av = acts[s]
-        a = av[min(int(rand() * len(av)), len(av) - 1)] if len(av) > 1 else av[0]
-        t, dwell = sample(s, a)
-        key = (s, a)
-        counts[key] += 1
-        succ = post[key]
-        succ[t] = succ.get(t, 0) + 1
-        if dwell is not None:
-            dwell_sum[key] = dwell_sum.get(key, 0.0) + dwell
-        if t not in states:
-            partial.discover(t, oracle)
-            return False
-        s = t
-    return True
+    try:
+        for i in range(steps):
+            if deadline is not None and (i & 0xFFF) == 0 and monotonic() >= deadline:
+                return True  # keep what was learned; the caller is out of time
+            av = acts[s]
+            a, j = av[min(int(rand() * len(av)), len(av) - 1)] if len(av) > 1 else av[0]
+            t, dwell = sample(s, a)
+            n[j] += 1
+            succ = succs[j]
+            succ[t] = succ.get(t, 0) + 1
+            if dwell is not None:
+                total = dwells[j]
+                dwells[j] = dwell if total is None else total + dwell
+            if t not in states:
+                partial.discover(t, oracle)
+                return False
+            s = t
+        return True
+    finally:
+        for sa, c, total in zip(pairs, n, dwells):
+            counts[sa] = c
+            if total is not None:
+                dwell_sum[sa] = total
 
 
 def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -17,6 +17,7 @@ BLACKBOX = "blackbox"
 GREYBOX = "greybox"
 
 ROW_SUM_TOL = 1e-9  # decimal model files must round-trip
+UNIFORM_BLOCK = 1024  # oracle uniforms drawn per numpy call
 
 
 class ModelError(ValueError):
@@ -285,10 +286,14 @@ def learner_rng(seed: int) -> np.random.Generator:
 
 
 class StepSample(NamedTuple):
-    # NamedTuple rather than a dataclass: constructed once per sampled step,
-    # which makes allocation cost part of the simulation budget
+    # NamedTuple rather than a dataclass: a CTMDP step constructs one, which
+    # makes allocation cost part of the simulation budget (an MDP step
+    # returns one of its row's prebuilt samples)
     successor: int
     dwell: float | None = None  # exponential residence time; None for MDPs
+
+
+_new_tuple = tuple.__new__
 
 
 class SampleOracle:
@@ -305,10 +310,13 @@ class SampleOracle:
         self._model = model
         self.info_level = info_level
         self.rng_seed = int(rng_seed)
-        self._rng = oracle_rng(self.rng_seed)
-        self._random = self._rng.random  # bound once; called per sampled step
+        rng = oracle_rng(self.rng_seed)
+        # A Generator gives the same uniforms in blocks as in scalar calls,
+        # and one numpy call per block costs far less than one per step.
+        blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
+        self._uniforms = chain.from_iterable(blocks)
         self._is_mdp = model.kind == MDP
-        self._dist_cache: dict[tuple[int, str], tuple[list[int], list[float], float]] = {}
+        self._dist_cache: dict[tuple[int, str], tuple[tuple[StepSample, ...], list[float], float]] = {}
         self.steps_sampled = 0  # drives the deterministic trace clock
 
     @property
@@ -337,6 +345,12 @@ class SampleOracle:
         return len(self._model.rows[(s, a)])
 
     def _dist(self, s: int, a: str):
+        """(successor samples, cumulative probabilities, total rate) of (s,a).
+
+        The last cumulative entry is set to exactly 1.0: a uniform u < 1 then
+        always lands on a successor, even where the float sum ends below 1.
+        The samples carry no dwell, so an MDP step returns them as they are.
+        """
         key = (s, a)
         hit = self._dist_cache.get(key)
         if hit is not None:
@@ -347,7 +361,8 @@ class SampleOracle:
         succ = sorted(row)
         total = sum(row[t] for t in succ)
         cum = list(accumulate(row[t] / total for t in succ))
-        hit = (succ, cum, total)
+        cum[-1] = 1.0
+        hit = (tuple(StepSample(t) for t in succ), cum, total)
         self._dist_cache[key] = hit
         return hit
 
@@ -360,13 +375,11 @@ class SampleOracle:
         hit = self._dist_cache.get((s, a))
         if hit is None:
             hit = self._dist(s, a)
-        succ, cum, total = hit
-        i = bisect_right(cum, self._random())
-        if i >= len(succ):  # guard the u ~ 1.0 float edge
-            i = len(succ) - 1
+        samples, cum, total = hit
+        step = samples[bisect_right(cum, next(self._uniforms))]
         self.steps_sampled += 1
         if self._is_mdp:
-            return StepSample(succ[i])
+            return step
         # Exponential(lambda) via inverse transform -ln(u)/lambda, u in (0,1]
-        dwell = -math.log1p(-self._random()) / total
-        return StepSample(succ[i], dwell)
+        dwell = -math.log1p(-next(self._uniforms)) / total
+        return _new_tuple(StepSample, (step.successor, dwell))  # skips NamedTuple's Python __new__

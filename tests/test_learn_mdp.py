@@ -16,6 +16,7 @@ from mppac import (
     GREYBOX,
     BLACKBOX_UPDATES,
     GREYBOX_UPDATES,
+    MDP,
     MINUS,
     PLUS,
     STAY,
@@ -24,6 +25,7 @@ from mppac import (
     MecRecord,
     PartialModel,
     SampleOracle,
+    StepSample,
     compute_n_samples,
     find_delta_sure_mecs,
     learner_rng,
@@ -936,6 +938,73 @@ def test_simulate_episode_terminates_and_attaches_stay(two_mec):
         assert path[0] == 0
         assert path[-1] in TERMINALS
     assert partial.stay_of  # some absorbing state earned its stay action
+
+
+def _leaving_partial():
+    """State 0 holds a stay record of gain [0.2, 0.3] whose retained action
+    x loops; the greedy action y (upper 0.8) has so far only been seen to
+    loop too. State 1 holds a stay record of gain [0.9, 0.95]."""
+    partial = frozen_partial(
+        {(0, "x", 0): 50, (0, "y", 0): 2, (1, "z", 1): 50},
+        rewards={0: 0.0, 1: 0.0},
+        p_min=1.0,
+    )
+    partial.act_U.update({(0, "x"): 0.1, (0, "y"): 0.8, (1, "z"): 0.5})
+    partial.mecs = [
+        MecRecord(states=frozenset({0}), actions={0: frozenset({"x"})}, gain_lower=0.2, gain_upper=0.3),
+        MecRecord(states=frozenset({1}), actions={1: frozenset({"z"})}, gain_lower=0.9, gain_upper=0.95),
+    ]
+    partial.rebuild_stay_of()
+    return partial
+
+
+def test_leaving_action_follows_a_new_successor():
+    partial = _leaving_partial()
+    rec = partial.stay_of[0]
+    assert partial.leaving_action(rec) == (0, STAY)  # nothing leaves yet
+    partial.record_step(0, "y", 1)
+    assert partial.leaving_action(rec) == (0, "y")
+
+
+class _ScriptedOracle:
+    """Blackbox MDP oracle that replays a fixed successor list per pair."""
+
+    kind = MDP
+    info_level = BLACKBOX
+    p_min = 1.0
+    init = 0
+
+    def __init__(self, actions, script):
+        self._actions = actions
+        self._script = {sa: list(ts) for sa, ts in script.items()}
+        self.steps_sampled = 0
+
+    def available_actions(self, s):
+        return self._actions[s]
+
+    def reward(self, s):
+        return 0.0
+
+    def sample_step(self, s, a):
+        self.steps_sampled += 1
+        return StepSample(self._script[(s, a)].pop(0))
+
+
+def test_episode_leaves_by_an_action_seen_leaving_in_the_same_round():
+    # The first episode loops on y until the sixth visit of 0, where nothing
+    # leaves the record, so it stays. The second sees y reach the new state
+    # 2 before that visit: y now leaves, and beats the stay.
+    oracle = _ScriptedOracle(
+        {0: ("x", "y"), 1: ("z",), 2: ("back",)},
+        {(0, "y"): [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1], (2, "back"): [0]},
+    )
+    partial = _leaving_partial()
+    rng = learner_rng(0)
+    first = simulate_episode(oracle, partial, rng)
+    assert first[:-1] == [0] * 6 and first[-1] in TERMINALS
+    second = simulate_episode(oracle, partial, rng)
+    assert second[:-1] == [0, 2, 0, 0, 0, 0, 0, 1]
+    assert second[-1] in TERMINALS
 
 
 @pytest.mark.parametrize("field, value", [("update_style", GREYBOX), ("precision_mode", "Relative")])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from mppac import (
     oracle_rng,
     parse_model,
 )
+from mppac.model import UNIFORM_BLOCK
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -268,6 +271,22 @@ def test_sampled_dwell_matches_exit_rate(cycle_rates):
     n = 3000
     total = sum(oracle.sample_step(0, "a").dwell for _ in range(n))
     assert total / n == pytest.approx(0.5, rel=0.1)  # Exponential(2) mean
+
+
+def test_steps_follow_the_scalar_oracle_stream(random5, cycle_rates):
+    # the oracle draws its uniforms in blocks; past a block boundary, each
+    # step must still use the next scalar draws of oracle_rng: one for the
+    # successor (inverse transform on the row), one more for a dwell
+    n = 2 * UNIFORM_BLOCK + 3
+    u = oracle_rng(4)
+    oracle = SampleOracle(random5, BLACKBOX, rng_seed=4)
+    for _ in range(n):
+        assert oracle.sample_step(1, "x").successor == (1 if u.random() < 0.25 else 2)
+    u = oracle_rng(4)
+    oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=4)
+    for _ in range(n):
+        u.random()  # the single successor still consumes its uniform
+        assert oracle.sample_step(0, "a") == (1, -math.log1p(-u.random()) / 2.0)
 
 
 def test_learner_and_oracle_streams_are_independent():
