@@ -20,7 +20,6 @@ from .graph import (
     find_delta_sure_mecs,
     is_delta_sure_ec,
     mec_decomposition,
-    model_graph,
 )
 from .learn_ctmdp import (
     find_mec_mp_bounds_exact,
@@ -53,7 +52,6 @@ from .model import (
     ModelError,
     SampleOracle,
     StepSample,
-    embedded_mdp,
     learner_rng,
     load_model,
     oracle_rng,
@@ -71,7 +69,6 @@ from .stats import (
 from .whitebox import (
     WeightedQuotient,
     build_weighted_quotient,
-    enumerate_policies_gain,
     exact_mean_payoff,
     exact_mec_gain,
 )

@@ -37,15 +37,20 @@ class RunConfig:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Seeds come as 'N', 'A..B' (inclusive) or comma-separated values."""
+    """Seeds come as 'N', 'A..B' (inclusive) or comma-separated values, none
+    of them negative."""
     text = text.strip()
     if ".." in text:
         a, b = text.split("..", 1)
         lo, hi = int(a), int(b)
         if hi < lo:
             raise ValueError(f"empty seed range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in text.split(","))
+        seeds = tuple(range(lo, hi + 1))
+    else:
+        seeds = tuple(int(part) for part in text.split(","))
+    if min(seeds) < 0:
+        raise ValueError(f"negative seed in {text!r}")
+    return seeds
 
 
 def _run_one(model, config: RunConfig, seed: int) -> BoundsReport:

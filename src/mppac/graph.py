@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import ExplicitModel
 from .stats import ec_required_samples
 
 # Label of the synthetic stay action attached to confirmed MECs. '~' sorts
@@ -40,11 +39,6 @@ class MecRecord:
     def key(self) -> tuple:
         """Identity of the record: exact state and action sets."""
         return (self.states, tuple(sorted((s, a) for s, av in self.actions.items() for a in av)))
-
-
-def model_graph(m: ExplicitModel) -> dict[tuple[int, str], frozenset[int]]:
-    """Adjacency view of a full model (embedded successors for CTMDPs)."""
-    return {(s, a): frozenset(row) for (s, a), row in m.rows.items()}
 
 
 def _sccs(states, edges) -> list[frozenset[int]]:

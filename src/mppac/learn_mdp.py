@@ -27,7 +27,7 @@ from .graph import (
     leaving_pairs,
     mec_decomposition,
 )
-from .model import BLACKBOX, CTMDP, GREYBOX, MDP, learner_rng
+from .model import CTMDP, GREYBOX, MDP, learner_rng
 from .stats import (
     ec_required_samples,
     greybox_miss_probability,
@@ -72,6 +72,12 @@ class LearnerConfig:
             raise ValueError(f"unknown update_style {self.update_style!r}")
         if self.precision_mode not in ("relative", "absolute"):
             raise ValueError(f"unknown precision_mode {self.precision_mode!r}")
+        if not 0.0 < self.delta_mp < 1.0:
+            raise ValueError(f"delta_mp {self.delta_mp} outside (0, 1)")
+        if not self.epsilon_mp > 0.0:
+            raise ValueError(f"epsilon_mp {self.epsilon_mp} is not positive")
+        if self.episodes_per_round < 1:
+            raise ValueError(f"episodes_per_round {self.episodes_per_round} is below 1")
 
 
 @dataclass
@@ -96,14 +102,7 @@ class BoundsReport:
 class PartialModel:
     """Everything the learner knows about the model."""
 
-    def __init__(
-        self,
-        p_min: float,
-        delta_mp: float = 0.1,
-        update_style: str = BLACKBOX_UPDATES,
-        info_level: str = BLACKBOX,
-        ctmdp: bool = False,
-    ):
+    def __init__(self, p_min: float, delta_mp: float, update_style: str, info_level: str, ctmdp: bool):
         self.p_min = p_min
         self.delta_mp = delta_mp
         self.update_style = update_style
@@ -117,8 +116,8 @@ class PartialModel:
         self.dwell_sum: dict[tuple[int, str], float] = {}  # CTMDP residence times
         self.rewards: dict[int, float] = {}
         self.r_max_seen = 0.0
-        self.L: dict[int, float] = {PLUS: 1.0, MINUS: 0.0, UNKNOWN: 0.0}
-        self.U: dict[int, float] = {PLUS: 1.0, MINUS: 0.0, UNKNOWN: 1.0}
+        self.L: dict[int, float] = {}
+        self.U: dict[int, float] = {}
         self.act_L: dict[tuple[int, str], float] = {}
         self.act_U: dict[tuple[int, str], float] = {}
         self.mecs: list[MecRecord] = []  # pairwise disjoint; each carries a stay
@@ -275,10 +274,10 @@ class _Rows:
     unsampled. The lower estimate of a successor is its frequency minus the
     Hoeffding width at the row's count, floored at 0; the residual mass goes
     to the worst/best successor of a grey row and to 0/1 otherwise. slot
-    maps successors to value slots and gains a slot for any successor it
-    lacks. Each row is padded to the widest row with zero-weight copies of
-    its first successor, so the column-by-column sum adds the same terms in
-    the same order as a per-row loop, and the padding adds exact zeros.
+    maps every successor to its value slot. Each row is padded to the widest
+    row with zero-weight copies of its first successor, so the
+    column-by-column sum adds the same terms in the same order as a per-row
+    loop, and the padding adds exact zeros.
     """
 
     def __init__(self, rows, per_state, slot: dict, delta_tp: float):
@@ -295,7 +294,7 @@ class _Rows:
             w = widths.get(n)
             if w is None:
                 w = widths[n] = tp_width(n, delta_tp)
-            ths = tuple((slot.setdefault(t, len(slot)), max(0.0, f - w)) for t, f in freqs)
+            ths = tuple((slot[t], max(0.0, f - w)) for t, f in freqs)
             self.resid[r] = max(0.0, 1.0 - sum(th for _, th in ths))
             self.grey[r] = grey
             packed.append(ths)
@@ -331,10 +330,10 @@ class _Estimates(_Rows):
     """The frozen rows of one value-iteration phase, packed into arrays.
 
     Observation counts and stay gains do not move during a phase, only
-    L and U do. Value slots 0..n-1 are the discovered states in
-    ``partial.available`` order; every other successor (the pseudo-states,
-    and undiscovered states in hand-built partials) gets a slot after them
-    whose value stays fixed. Pair rows follow the states' action order.
+    L and U do. The value slots are the discovered states in
+    ``partial.available`` order, and every recorded successor is one of
+    them: a sampled successor is discovered at once, and a stay draw is
+    never recorded. Pair rows follow the states' action order.
     """
 
     def __init__(self, partial: PartialModel):
@@ -344,7 +343,6 @@ class _Estimates(_Rows):
         rows = [(*partial.row(s, a), partial.grey_equations(s, a)) for s, a in self.pairs]
         per_state = [len(partial.available[s]) for s in self.states]
         super().__init__(rows, per_state, slot, partial.current_delta_tp())
-        self.fixed = list(slot)[len(self.states):]
         self.stay_l = np.zeros(len(self.states))
         self.stay_u = np.zeros(len(self.states))
         for i, s in enumerate(self.states):
@@ -375,19 +373,10 @@ class _Estimates(_Rows):
         self.exit_mecs = np.array(exit_mecs, dtype=np.intp)
         self.gains = np.array(gains, dtype=float)
 
-    def values(self, partial: PartialModel) -> tuple[np.ndarray, np.ndarray]:
-        """L and U over all value slots, read from the partial model."""
-        slots = self.states + self.fixed
-        return (
-            np.array([partial.L[s] for s in slots], dtype=float),
-            np.array([partial.U[s] for s in slots], dtype=float),
-        )
-
     def store(self, partial: PartialModel, L, U, pair_l, pair_u) -> None:
         """Write state and pair values back into the partial model's dicts."""
-        n = len(self.states)
-        partial.L.update(zip(self.states, L[:n].tolist()))
-        partial.U.update(zip(self.states, U[:n].tolist()))
+        partial.L.update(zip(self.states, L.tolist()))
+        partial.U.update(zip(self.states, U.tolist()))
         partial.act_L.update(zip(self.pairs, pair_l.tolist()))
         partial.act_U.update(zip(self.pairs, pair_u.tolist()))
 
@@ -407,23 +396,15 @@ class _Estimates(_Rows):
 def _sweep_once(est: _Estimates, L: np.ndarray, U: np.ndarray):
     """One synchronous Bellman sweep over the discovered states.
 
-    Returns (pair lower, pair upper, new L, new U); the new value arrays
-    keep the fixed slots of L and U.
+    Returns (pair lower, pair upper, new L, new U).
     """
     low, up = est.bounds(L, U)
-    n = len(est.states)
-    new_l = L.copy()
-    new_u = U.copy()
-    new_l[:n] = np.maximum(est.best(low), est.stay_l)
-    new_u[:n] = np.maximum(est.best(up), est.stay_u)
-    return low, up, new_l, new_u
+    return low, up, np.maximum(est.best(low), est.stay_l), np.maximum(est.best(up), est.stay_u)
 
 
-def _movement(L, U, new_l, new_u, n: int) -> float:
+def _movement(L, U, new_l, new_u) -> float:
     """Largest change of a state value between two value arrays."""
-    if n == 0:
-        return 0.0
-    return float(max(np.abs(new_l[:n] - L[:n]).max(), np.abs(new_u[:n] - U[:n]).max()))
+    return float(max(np.abs(new_l - L).max(), np.abs(new_u - U).max()))
 
 
 def _mec_action_values(partial: PartialModel, M: MecRecord) -> dict:
@@ -447,14 +428,12 @@ def _vi_phase(partial: PartialModel) -> None:
     phase and are written back to the partial model once, at the end.
     """
     est = _Estimates(partial)
-    n = len(est.states)
-    L, U = est.values(partial)
-    L[:n] = 0.0
-    U[:n] = 1.0
+    L = np.zeros(len(est.states))
+    U = np.ones(len(est.states))
     while True:
         pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
         est.deflate(pair_u, new_u)
-        moved = _movement(L, U, new_l, new_u, n)
+        moved = _movement(L, U, new_l, new_u)
         L, U = new_l, new_u
         if moved <= FIXPOINT_TOL:
             est.store(partial, L, U, pair_l, pair_u)

@@ -244,26 +244,6 @@ def load_model(path) -> ExplicitModel:
         return parse_model(fh.read())
 
 
-def embedded_mdp(m: ExplicitModel) -> ExplicitModel:
-    """Embedded jump chain of a CTMDP: T(s,a,t) = R(s,a,t)/lambda(s,a),
-    rewards copied verbatim."""
-    if m.kind != CTMDP:
-        raise ModelError("embedded_mdp expects a CTMDP")
-    rows = {}
-    for (s, a), row in m.rows.items():
-        lam = sum(row.values())
-        rows[(s, a)] = {t: r / lam for t, r in row.items()}
-    return ExplicitModel(
-        kind=MDP,
-        state_count=m.state_count,
-        init=m.init,
-        p_min=m.p_min,
-        actions=m.actions,
-        rows=rows,
-        reward=m.reward,
-    )
-
-
 # ---------------------------------------------------------------------------
 # seeded randomness
 

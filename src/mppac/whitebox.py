@@ -1,23 +1,20 @@
 """Reference solver for fully known models.
 
-Exact MEC gains, the weighted MEC quotient with reachability value
-iteration, and brute-force policy enumeration. These are the oracles the
-test suite checks the learners against; nothing here ever samples.
+Exact MEC gains and the weighted MEC quotient with reachability value
+iteration, in plain Python: the exact values that ``mppac solve-whitebox``
+prints and that the tests and the benchmark check the learners against.
+Nothing here ever samples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graph import MINUS, PLUS, STAY, MecRecord, _sccs, mec_decomposition
+from .graph import MINUS, PLUS, STAY, MecRecord, mec_decomposition
 from .model import CTMDP, ExplicitModel
 
 BETA = 1e-6  # oracle tolerance
-POLICY_LIMIT = 300_000  # most positional policies enumerate_policies_gain tries
 APERIODICITY = 0.95  # virtual self-loop weight for gain value iteration
 
 
@@ -178,62 +175,3 @@ def exact_mean_payoff(model: ExplicitModel) -> float:
         return 0.0
     q = build_weighted_quotient(model)
     return q.r_max * _max_reachability(q)[q.init]
-
-
-def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
-    """Mean payoff of a Markov chain from init: stationary gain per
-    recurrent class, weighted by absorption probabilities."""
-    n = len(r)
-    edges = {s: set(np.nonzero(P[s])[0].tolist()) for s in range(n)}
-    comps = _sccs(range(n), edges)
-    bottoms = [sorted(c) for c in comps if all(t in c for s in c for t in edges[s])]
-
-    gains = []
-    for comp in bottoms:
-        k = len(comp)
-        A = P[np.ix_(comp, comp)].T - np.eye(k)
-        A[-1, :] = 1.0  # normalization replaces one redundant balance row
-        b = np.zeros(k)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        gains.append(float(pi @ r[comp]))
-
-    for comp, g in zip(bottoms, gains):
-        if init in comp:
-            return g
-    recurrent = {s for comp in bottoms for s in comp}
-    trans = sorted(set(range(n)) - recurrent)
-    ti = {s: i for i, s in enumerate(trans)}
-    A = np.eye(len(trans)) - P[np.ix_(trans, trans)]
-    total = 0.0
-    for comp, g in zip(bottoms, gains):
-        absorb = np.linalg.solve(A, P[np.ix_(trans, comp)].sum(axis=1))
-        total += float(absorb[ti[init]]) * g
-    return total
-
-
-def enumerate_policies_gain(model: ExplicitModel) -> float:
-    """Exact maximal gain by brute force over positional policies.
-
-    Only for desk-scale models: refuses more than 8 states or more than
-    POLICY_LIMIT policies.
-    """
-    n = model.state_count
-    if n > 8:
-        raise ValueError(f"model too large for policy enumeration ({n} states)")
-    total = 1
-    for av in model.actions:
-        total *= len(av)
-        if total > POLICY_LIMIT:
-            raise ValueError(f"too many positional policies (> {POLICY_LIMIT})")
-
-    rows = _solver_rows(model)
-    r = np.asarray(model.reward, dtype=float)
-    best = -math.inf
-    for policy in itertools.product(*model.actions):
-        P = np.zeros((n, n))
-        for s, a in enumerate(policy):
-            for t, p in rows[(s, a)].items():
-                P[s, t] = p
-        best = max(best, _chain_gain(P, r, model.init))
-    return best

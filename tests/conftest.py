@@ -11,12 +11,20 @@ from mppac import (
     BLACKBOX,
     BLACKBOX_UPDATES,
     MDP,
+    MINUS,
+    PLUS,
+    UNKNOWN,
     ExplicitModel,
+    MecRecord,
     PartialModel,
     load_model,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+# (lower, upper) value of each terminal pseudo-state, as a stay reaches it
+PSEUDO_STATE_VALUES = {PLUS: (1.0, 1.0), MINUS: (0.0, 0.0), UNKNOWN: (0.0, 1.0)}
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +81,12 @@ def frozen_partial(
     counts, and the per-pair successor counts in post are derived from it. counts may
     override the per-pair totals (to model observations whose successor
     breakdown the test does not care about).
+
+    A run never records a step into PLUS, MINUS or UNKNOWN: it reaches them
+    only by a stay draw. So each of them that triples names as a successor
+    becomes a discovered absorbing state, with one self-loop observation and
+    a stay record whose gain bounds are the pseudo-state's value; after
+    deflation its value is exactly that.
     """
     partial = PartialModel(
         p_min,
@@ -81,6 +95,8 @@ def frozen_partial(
         info_level=info_level,
         ctmdp=ctmdp,
     )
+    pseudo = sorted({t for _, _, t in triples if t in PSEUDO_STATE_VALUES})
+    triples = {**triples, **{(t, "loop", t): 1 for t in pseudo}}
     order: dict[int, list[str]] = {}
     for s, a, _ in triples:
         order.setdefault(s, [])
@@ -106,6 +122,13 @@ def frozen_partial(
             partial.r_max_seen = float(r)
     if succ_total:
         partial.succ_total.update(succ_total)
+    for t in pseudo:
+        low, up = PSEUDO_STATE_VALUES[t]
+        partial.L[t], partial.U[t] = low, up
+        partial.mecs.append(
+            MecRecord(states=frozenset({t}), actions={t: frozenset({"loop"})}, gain_lower=low, gain_upper=up)
+        )
+    partial.rebuild_stay_of()
     return partial
 
 

@@ -3,24 +3,34 @@
 lower_tp_estimate is the pessimistic probability of one successor.
 bellman_blackbox and bellman_greybox evaluate one interval Bellman row by
 a per-row loop, independent of the packed row kernel. global_update is one
-sweep of that kernel with the values read from and written to the partial
-model's dicts. deflate clamps one MEC at a time, ranking its exits with
-best_leaving_action, where the value-iteration phase clamps every MEC at
-once. ctmdp_mec_gain is the gain of a chain with known stationary
+sweep of that kernel and the phase's deflation, with the values read from
+and written to the partial model's dicts. deflate clamps one MEC at a time,
+ranking its exits with best_leaving_action, where the value-iteration phase
+clamps every MEC at once. ctmdp_mec_gain is the gain of a chain with known stationary
 frequencies and rates. heuristic_mec_bounds is the three-call CTMDP gain
 heuristic with its two rate assignments built pair by pair.
 chernoff_log_term and chernoff_minimizers give the dwell-time Chernoff
-bound's log terms and their closed-form minimizers.
+bound's log terms and their closed-form minimizers. model_graph is the
+adjacency view of a full model, embedded_mdp the jump chain of a CTMDP,
+and enumerate_policies_gain the maximal gain by brute force over
+positional policies, which the whitebox solver is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from mppac.graph import ClosedMec, MecRecord, best_leaving_action
+import numpy as np
+
+from mppac.graph import ClosedMec, MecRecord, _sccs, best_leaving_action
 from mppac.learn_ctmdp import update_mec_value_ctmdp
 from mppac.learn_mdp import PartialModel, _Estimates, _mec_action_values, _movement, _sweep_once
+from mppac.model import CTMDP, MDP, ExplicitModel, ModelError
 from mppac.stats import tp_width
+from mppac.whitebox import _solver_rows
+
+POLICY_LIMIT = 300_000  # most positional policies enumerate_policies_gain tries
 
 
 def lower_tp_estimate(count_sat: int, count_total: int, width: float) -> float:
@@ -65,7 +75,8 @@ def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
 
 
 def global_update(partial: PartialModel, update_style: str | None = None, tol: float = 1e-6) -> bool:
-    """One synchronous Bellman sweep; True iff any value moved more than tol.
+    """One synchronous Bellman sweep and deflation, from the partial model's
+    current values; True iff any value moved more than tol.
 
     update_style, if given, replaces the partial model's own style (used to
     compare blackbox and greybox updates on identical counts).
@@ -73,10 +84,12 @@ def global_update(partial: PartialModel, update_style: str | None = None, tol: f
     if update_style is not None:
         partial.update_style = update_style
     est = _Estimates(partial)
-    L, U = est.values(partial)
+    L = np.array([partial.L[s] for s in est.states], dtype=float)
+    U = np.array([partial.U[s] for s in est.states], dtype=float)
     pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
+    est.deflate(pair_u, new_u)
     est.store(partial, new_l, new_u, pair_l, pair_u)
-    return _movement(L, U, new_l, new_u, len(est.states)) > tol
+    return _movement(L, U, new_l, new_u) > tol
 
 
 def deflate(M: MecRecord, partial: PartialModel) -> float:
@@ -145,3 +158,87 @@ def chernoff_log_term(n: int, u: float, tilt: float) -> float:
 def chernoff_minimizers(alpha_r: float) -> tuple[float, float]:
     """Closed-form tilts u = 1/(1 +- alpha) - 1 attaining the two infima."""
     return 1.0 / (1.0 + alpha_r) - 1.0, 1.0 / (1.0 - alpha_r) - 1.0
+
+
+def model_graph(m: ExplicitModel) -> dict[tuple[int, str], frozenset[int]]:
+    """Adjacency view of a full model (embedded successors for CTMDPs)."""
+    return {(s, a): frozenset(row) for (s, a), row in m.rows.items()}
+
+
+def embedded_mdp(m: ExplicitModel) -> ExplicitModel:
+    """Embedded jump chain of a CTMDP: T(s,a,t) = R(s,a,t)/lambda(s,a),
+    rewards copied verbatim."""
+    if m.kind != CTMDP:
+        raise ModelError("embedded_mdp expects a CTMDP")
+    rows = {}
+    for (s, a), row in m.rows.items():
+        lam = sum(row.values())
+        rows[(s, a)] = {t: r / lam for t, r in row.items()}
+    return ExplicitModel(
+        kind=MDP,
+        state_count=m.state_count,
+        init=m.init,
+        p_min=m.p_min,
+        actions=m.actions,
+        rows=rows,
+        reward=m.reward,
+    )
+
+
+def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
+    """Mean payoff of a Markov chain from init: stationary gain per
+    recurrent class, weighted by absorption probabilities."""
+    n = len(r)
+    edges = {s: set(np.nonzero(P[s])[0].tolist()) for s in range(n)}
+    comps = _sccs(range(n), edges)
+    bottoms = [sorted(c) for c in comps if all(t in c for s in c for t in edges[s])]
+
+    gains = []
+    for comp in bottoms:
+        k = len(comp)
+        A = P[np.ix_(comp, comp)].T - np.eye(k)
+        A[-1, :] = 1.0  # normalization replaces one redundant balance row
+        b = np.zeros(k)
+        b[-1] = 1.0
+        pi = np.linalg.solve(A, b)
+        gains.append(float(pi @ r[comp]))
+
+    for comp, g in zip(bottoms, gains):
+        if init in comp:
+            return g
+    recurrent = {s for comp in bottoms for s in comp}
+    trans = sorted(set(range(n)) - recurrent)
+    ti = {s: i for i, s in enumerate(trans)}
+    A = np.eye(len(trans)) - P[np.ix_(trans, trans)]
+    total = 0.0
+    for comp, g in zip(bottoms, gains):
+        absorb = np.linalg.solve(A, P[np.ix_(trans, comp)].sum(axis=1))
+        total += float(absorb[ti[init]]) * g
+    return total
+
+
+def enumerate_policies_gain(model: ExplicitModel) -> float:
+    """Exact maximal gain by brute force over positional policies.
+
+    Only for desk-scale models: refuses more than 8 states or more than
+    POLICY_LIMIT policies.
+    """
+    n = model.state_count
+    if n > 8:
+        raise ValueError(f"model too large for policy enumeration ({n} states)")
+    total = 1
+    for av in model.actions:
+        total *= len(av)
+        if total > POLICY_LIMIT:
+            raise ValueError(f"too many positional policies (> {POLICY_LIMIT})")
+
+    rows = _solver_rows(model)
+    r = np.asarray(model.reward, dtype=float)
+    best = -math.inf
+    for policy in itertools.product(*model.actions):
+        P = np.zeros((n, n))
+        for s, a in enumerate(policy):
+            for t, p in rows[(s, a)].items():
+                P[s, t] = p
+        best = max(best, _chain_gain(P, r, model.init))
+    return best

@@ -38,7 +38,7 @@ from mppac import (
 from mppac.cli import main
 
 from .conftest import brute_force_mecs, frozen_partial, random_mdp_graph
-from .reference import chernoff_log_term, chernoff_minimizers, global_update
+from .reference import chernoff_log_term, chernoff_minimizers, global_update, model_graph
 
 # ---------------------------------------------------------------------------
 # 1. dwell-sample lookup table against its independently rounded reference
@@ -329,8 +329,6 @@ def test_decomposition_matches_brute_force_on_200_random_graphs():
 
 
 def test_three_component_model_decomposes_and_solves_exactly(three_mecs):
-    from mppac import model_graph
-
     mecs = mec_decomposition(model_graph(three_mecs))
     assert [m.states for m in mecs] == [
         frozenset({1}),

@@ -277,6 +277,24 @@ def test_run_bad_seed_list_exits_2(models_dir, capsys):
     assert "empty seed range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "negative seed"),
+        ("--delta", "0", "delta_mp"),
+        ("--delta", "1.5", "delta_mp"),
+        ("--epsilon", "-1", "epsilon_mp"),
+        ("--episodes-per-round", "0", "episodes_per_round"),
+    ],
+    ids=["negative-seed", "delta-0", "delta-1.5", "negative-epsilon", "no-episodes"],
+)
+def test_run_out_of_range_input_exits_2(models_dir, capsys, flag, value, message):
+    # the timeout only bounds a run that the input check fails to stop
+    code = main(["run", "--model", str(models_dir / "two_mec.mdp"), "--timeout-s", "1", flag, value])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_multi_seed_writes_per_seed_files_and_coverage(
     models_dir, tmp_path, capsys
 ):

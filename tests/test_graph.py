@@ -17,10 +17,10 @@ from mppac import (
     find_delta_sure_mecs,
     is_delta_sure_ec,
     mec_decomposition,
-    model_graph,
 )
 
 from .conftest import brute_force_mecs, frozen_partial, random_mdp_graph
+from .reference import model_graph
 
 # ---------------------------------------------------------------------------
 # decomposition

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mppac import (
     BLACKBOX,
+    BLACKBOX_UPDATES,
     LearnerConfig,
     MecRecord,
     PartialModel,
@@ -287,7 +288,7 @@ def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
 
 
 def _partial_with_pairs(delta, p_min, pairs, ctmdp):
-    partial = PartialModel(p_min, delta_mp=delta, ctmdp=ctmdp)
+    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp)
     partial.counts = {(s, "a"): 1 for s in range(pairs)}
     return partial
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -268,8 +269,9 @@ def test_array_sweep_equals_the_bellman_rows_exactly(case):
     partial.update_style = style
     delta_tp = partial.current_delta_tp()
     est = _Estimates(partial)
-    pair_l, pair_u, new_l, new_u = _sweep_once(est, *est.values(partial))
-    n = len(est.states)
+    L = np.array([partial.L[s] for s in est.states])
+    U = np.array([partial.U[s] for s in est.states])
+    pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
     for r, (s, a) in enumerate(est.pairs):
         bellman = bellman_greybox if partial.grey_equations(s, a) else bellman_blackbox
         assert (pair_l[r], pair_u[r]) == bellman(s, a, partial, delta_tp)
@@ -284,15 +286,13 @@ def test_array_sweep_equals_the_bellman_rows_exactly(case):
         if rec is not None:
             best_l, best_u = max(best_l, rec.gain_lower), max(best_u, rec.gain_upper)
         assert (new_l[i], new_u[i]) == (best_l, best_u)
-    assert list(new_l[n:]) == [partial.L[t] for t in est.fixed]
-    assert list(new_u[n:]) == [partial.U[t] for t in est.fixed]
 
     # the phase's deflation clamps exactly as deflate does, MEC by MEC
     est.store(partial, new_l, new_u, pair_l, pair_u)
     est.deflate(pair_u, new_u)
     for M in partial.mecs:
         deflate(M, partial)
-    assert new_u[:n].tolist() == [partial.U[s] for s in est.states]
+    assert new_u.tolist() == [partial.U[s] for s in est.states]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +551,7 @@ def test_simulate_mec_records_steps_as_record_step_does(
     # (and discover, for an escape target) must give the same observations
     model = load_model(models_dir / model_file)
     oracle = _LoggingOracle(model, BLACKBOX, rng_seed=seed)
-    partial = PartialModel(model.p_min, ctmdp=model.kind == CTMDP)
+    partial = PartialModel(model.p_min, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=model.kind == CTMDP)
     for s in actions:
         partial.discover(s, oracle)
     replay = copy.deepcopy(partial)
@@ -649,7 +649,9 @@ def test_mec_value_iteration_two_cycle_bounds():
 
 
 def test_mec_value_iteration_matches_whitebox_at_zero_width(random5):
-    from mppac import exact_mec_gain, mec_decomposition, model_graph
+    from mppac import exact_mec_gain, mec_decomposition
+
+    from .reference import model_graph
 
     mecs = mec_decomposition(model_graph(random5))
     target = next(m for m in mecs if m.states == frozenset({3, 4}))

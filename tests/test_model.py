@@ -16,13 +16,14 @@ from mppac import (
     ExplicitModel,
     ModelError,
     SampleOracle,
-    embedded_mdp,
     learner_rng,
     load_model,
     oracle_rng,
     parse_model,
 )
 from mppac.model import UNIFORM_BLOCK
+
+from .reference import embedded_mdp
 
 # ---------------------------------------------------------------------------
 # parsing

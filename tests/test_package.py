@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+from pathlib import Path
 from types import ModuleType
 
 import mppac
 from mppac.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_star_import_binds_no_module():
@@ -24,13 +28,29 @@ def test_all_names_resolve():
 def test_test_references_are_not_exported():
     # the references live in tests/reference.py; the others are gone
     references = {
-        "bellman_blackbox", "bellman_greybox", "global_update", "deflate", "ctmdp_mec_gain", "lower_tp_estimate"
+        "bellman_blackbox", "bellman_greybox", "global_update", "deflate", "ctmdp_mec_gain", "lower_tp_estimate",
+        "embedded_mdp", "enumerate_policies_gain", "model_graph",
     }
     removed = {
         "stay_distribution", "estimate_rate", "rate_interval", "rate_inconfidence_parts", "chernoff_minimizers",
         "boundary_rate_assignment",
     }
     assert not any(hasattr(mppac, name) for name in references | removed)
+
+
+def test_exports_only_what_a_run_executes():
+    # an exported name must be read somewhere in the package, the benchmark
+    # or the scripts; what only the tests read belongs in tests/reference.py
+    sources = [p for p in (ROOT / "src" / "mppac").glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert sorted(set(mppac.__all__) - used) == []
 
 
 def test_knob_inventory():

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppac import (
+    BLACKBOX,
+    BLACKBOX_UPDATES,
     MecRecord,
     PartialModel,
     ec_required_samples,
@@ -285,7 +287,7 @@ def test_split_preserves_total_inconfidence(delta, p_min):
 def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
     # the per-pair transition inconfidence equals the rate share spread over
     # the pairs, and the two shares of delta_mp add back up to it
-    partial = PartialModel(p_min, delta_mp=delta, ctmdp=True)
+    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
     partial.counts = dict.fromkeys(((s, "a") for s in range(pairs)), 0)
     d1, d2 = split_mp_inconfidence(delta, p_min)
     assert partial.current_delta_tp() == pytest.approx(d2 / pairs, rel=1e-9)
@@ -295,8 +297,8 @@ def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
 def test_mdp_budget_spends_everything_on_transitions():
     # an MDP learner's per-pair delta_tp is delta_mp * p_min / pairs; a
     # CTMDP learner first gives part of delta_mp to the rates
-    mdp = PartialModel(0.05, delta_mp=0.1)
-    ctmdp = PartialModel(0.05, delta_mp=0.1, ctmdp=True)
+    mdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=False)
+    ctmdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
     for partial in (mdp, ctmdp):
         partial.counts = {(s, "a"): 0 for s in range(1000)}
     assert mdp.current_delta_tp() == pytest.approx(5e-6)

@@ -11,14 +11,13 @@ from mppac import (
     MDP,
     ExplicitModel,
     build_weighted_quotient,
-    enumerate_policies_gain,
     exact_mean_payoff,
     exact_mec_gain,
     mec_decomposition,
-    model_graph,
 )
 
 from .conftest import random_mdp_model
+from .reference import enumerate_policies_gain, model_graph
 
 
 def _mdp(rows, rewards, actions, init=0, pmin=None):
