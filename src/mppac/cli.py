@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--epsilon", type=float, default=0.01, help="target half-width ε")
     p_run.add_argument("--delta", type=float, default=0.1, help="overall inconfidence δ")
     p_run.add_argument("--episodes-per-round", type=int, default=10_000)
-    p_run.add_argument("--timeout-s", type=float, default=1800.0)
+    p_run.add_argument("--timeout-s", type=float, default=1800.0, help="must be positive (inf: no limit)")
     p_run.add_argument("--seed", default="0", help="N, or one run per seed: 'A..B' inclusive or comma list")
     p_run.add_argument("--csv", help="trace output path (per-seed suffix for several seeds)")
     p_run.add_argument("--svg", help="convergence plot path")

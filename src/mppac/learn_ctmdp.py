@@ -189,7 +189,7 @@ def _bound_mec_gain_ctmdp(M, partial, config, beta):
     return bounds(M, partial, alpha_r, beta, delta_tp)
 
 
-def _refine_mec_ctmdp(M, oracle, partial, config, rng, start, deadline=None):
+def _refine_mec_ctmdp(M, oracle, partial, config, rng, start, deadline):
     return update_mec_value(M, oracle, partial, config, rng, start, deadline, _bound_mec_gain_ctmdp)
 
 

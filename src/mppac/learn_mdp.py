@@ -61,7 +61,7 @@ class LearnerConfig:
     delta_mp: float = 0.1
     episodes_per_round: int = 10_000  # n
     precision_mode: str = "relative"  # "relative" | "absolute"
-    timeout_s: float = 1800.0
+    timeout_s: float = 1800.0  # > 0; inf for no limit
     seed: int = 0
     update_style: str = BLACKBOX_UPDATES  # "blackbox" | "greybox-equations"
     anytime: bool = False  # drop the termination test, run to timeout
@@ -78,6 +78,8 @@ class LearnerConfig:
             raise ValueError(f"epsilon_mp {self.epsilon_mp} is not positive")
         if self.episodes_per_round < 1:
             raise ValueError(f"episodes_per_round {self.episodes_per_round} is below 1")
+        if not self.timeout_s > 0.0:
+            raise ValueError(f"timeout_s {self.timeout_s} is not positive")
 
 
 @dataclass
@@ -92,7 +94,6 @@ class BoundsReport:
     rounds: int
     wall_seconds: float
     timed_out: bool
-    wall_trace: list  # real elapsed seconds per trace row (informational)
 
     @property
     def width(self) -> float:
@@ -169,19 +170,6 @@ class PartialModel:
                 m.gain_lower *= ratio
                 m.gain_upper *= ratio
             self.invalidate_choices()
-
-    def record_step(self, s: int, a: str, t: int, dwell: float | None = None) -> None:
-        key = (s, a)
-        self.counts[key] += 1
-        succ = self.post[key]
-        c = succ.get(t)
-        if c is None:
-            succ[t] = 1
-            self._leave_cache.clear()
-        else:
-            succ[t] = c + 1
-        if dwell is not None:
-            self.dwell_sum[key] = self.dwell_sum.get(key, 0.0) + dwell
 
     def row(self, s: int, a: str) -> tuple[int, tuple[tuple[int, float], ...]]:
         """(#(s,a), ((t, #(s,a,t)/#(s,a)), ...)) with successors ascending;
@@ -480,22 +468,12 @@ def _draw_stay(rec: MecRecord, rng) -> int:
     return UNKNOWN
 
 
-def _take(oracle, partial: PartialModel, rng, s: int, a: str) -> int:
-    """Execute one action (real or stay) from s, recording what happened."""
-    if a == STAY:
-        return _draw_stay(partial.stay_of[s], rng)
-    step = oracle.sample_step(s, a)
-    partial.record_step(s, a, step.successor, step.dwell)
-    partial.discover(step.successor, oracle)
-    return step.successor
-
-
 def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
     """Loop check for a state revisited often: find the MEC containing s in
     the observed graph restricted to the path with under-sampled actions
     removed, then require the strict sure-EC gate. Returns the confirmed
     record (truthy) or None."""
-    px = {q for q in path if q >= 0}
+    px = set(path)
     need = ec_required_samples(delta_tp, p_min)
     graph = {}
     for q in sorted(px):
@@ -512,16 +490,19 @@ def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
     return None
 
 
-def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
+def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
     """One episode from the initial state, ending in a terminal pseudo-state
-    (or aborted by the timeout, leaving counts valid)."""
+    (or aborted by the deadline, leaving counts valid). A revisit check that
+    finds a stay record makes the next step that record's leaving action:
+    no choice is drawn for it and no revisit check follows it."""
     k = REVISIT_THRESHOLD
     s = oracle.init
     partial.discover(s, oracle)
     path = [s]
     appear = {s: 1}
+    leave = None  # the forced next (state, action), if any
     # this loop dominates learning time, so the common step (a cached greedy
-    # choice of a real action) inlines _choose_action, _take and record_step
+    # choice of a real action) inlines _choose_action and the step's record
     choices = partial._choice_cache
     leaves = partial._leave_cache
     available = partial.available
@@ -532,15 +513,18 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
     rand = rng.random
     monotonic = time.monotonic
     while True:
-        if deadline is not None and monotonic() >= deadline:
+        if monotonic() >= deadline:
             return path
-        labels = choices.get(s)
-        if labels is None:
-            a = _choose_action(s, partial, rng)
-        elif len(labels) == 1:
-            a = labels[0]
+        if leave is not None:
+            s, a = leave
         else:
-            a = labels[min(int(rand() * len(labels)), len(labels) - 1)]
+            labels = choices.get(s)
+            if labels is None:
+                a = _choose_action(s, partial, rng)
+            elif len(labels) == 1:
+                a = labels[0]
+            else:
+                a = labels[min(int(rand() * len(labels)), len(labels) - 1)]
         if a == STAY:
             t = _draw_stay(partial.stay_of[s], rng)
         else:
@@ -563,7 +547,9 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
             return path
         c = appear.get(t, 0) + 1
         appear[t] = c
-        if c % k == 0:
+        if leave is not None:
+            leave = None
+        elif c % k == 0:
             # a state already carrying a confirmed stay record needs no new
             # loop analysis; re-deriving from the current (partial) path
             # could even shrink the record and discard its learned gains
@@ -573,11 +559,7 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline=None):
                 if rec is not None:
                     partial.adopt_looping_record(rec)
             if rec is not None:
-                t = _take(oracle, partial, rng, *partial.leaving_action(rec))
-                path.append(t)
-                if t in TERMINALS:
-                    return path
-                appear[t] = appear.get(t, 0) + 1
+                leave = partial.leaving_action(rec)
         s = t
 
 
@@ -596,7 +578,7 @@ def compute_n_samples(M: MecRecord, partial: PartialModel) -> int:
 
 
 def simulate_mec(
-    M: MecRecord, oracle, n_samples: int, rng, partial: PartialModel, start: int, deadline=None
+    M: MecRecord, oracle, n_samples: int, rng, partial: PartialModel, start: int, deadline: float
 ) -> bool:
     """Uniform-action random walk inside M for n_samples times the number of
     observed successors of M's pairs. Returns False if a step escapes M — the
@@ -605,8 +587,8 @@ def simulate_mec(
     steps = n_samples * max(1, n_succ)
     # This loop dominates refinement time. It draws an action only where
     # there is a choice, and it keeps the counts and dwell sums of M's pairs
-    # in per-pair slots: the same sums in the same order as record_step,
-    # written back to the partial model when the walk stops.
+    # in per-pair slots: the same sums in the same order as the episode's
+    # step, written back to the partial model when the walk stops.
     counts = partial.counts
     post = partial.post
     dwell_sum = partial.dwell_sum
@@ -623,7 +605,7 @@ def simulate_mec(
     s = start
     try:
         for i in range(steps):
-            if deadline is not None and (i & 0xFFF) == 0 and monotonic() >= deadline:
+            if (i & 0xFFF) == 0 and monotonic() >= deadline:
                 return True  # keep what was learned; the caller is out of time
             av = acts[s]
             a, j = av[min(int(rand() * len(av)), len(av) - 1)] if len(av) > 1 else av[0]
@@ -725,7 +707,7 @@ def update_mec_value(
     config: LearnerConfig,
     rng,
     start: int,
-    deadline=None,
+    deadline: float,
     bound=_bound_mec_gain,
 ):
     """Refine M's gain bounds, aiming the gain bounder at half the current gap.
@@ -777,7 +759,7 @@ def _needs_refinement(rec: MecRecord, partial: PartialModel, config: LearnerConf
 
 def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
     t0 = time.monotonic()
-    deadline = t0 + config.timeout_s if config.timeout_s else None
+    deadline = t0 + config.timeout_s
     rng = learner_rng(config.seed)
     partial = PartialModel(
         oracle.p_min,
@@ -788,7 +770,6 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
     )
     partial.discover(oracle.init, oracle)
     trace: list[tuple[float, int, float, float]] = []
-    wall_trace: list[float] = []
     episodes = 0
     rounds = 0
     timed_out = False
@@ -797,7 +778,7 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         rounds += 1
         refined: set[int] = set()
         for _ in range(config.episodes_per_round):
-            if deadline is not None and time.monotonic() >= deadline:
+            if time.monotonic() >= deadline:
                 timed_out = True
                 break
             path = simulate_episode(oracle, partial, rng, deadline)
@@ -819,12 +800,11 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         low = partial.L[oracle.init]
         up = partial.U[oracle.init]
         trace.append((oracle.steps_sampled * VIRTUAL_STEP_SECONDS, episodes, low, up))
-        wall_trace.append(time.monotonic() - t0)
         if timed_out:
             break
         if not config.anytime and up - low < _termination_width(partial, config):
             break
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             timed_out = True
             break
 
@@ -838,7 +818,6 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         rounds=rounds,
         wall_seconds=time.monotonic() - t0,
         timed_out=timed_out,
-        wall_trace=wall_trace,
     )
 
 

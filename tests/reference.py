@@ -6,8 +6,9 @@ a per-row loop, independent of the packed row kernel. global_update is one
 sweep of that kernel and the phase's deflation, with the values read from
 and written to the partial model's dicts. deflate clamps one MEC at a time,
 ranking its exits with best_leaving_action, where the value-iteration phase
-clamps every MEC at once. ctmdp_mec_gain is the gain of a chain with known stationary
-frequencies and rates. heuristic_mec_bounds is the three-call CTMDP gain
+clamps every MEC at once. record_step counts one sampled step, as the
+episode and the MEC walk do in their own loops. ctmdp_mec_gain is the gain
+of a chain with known stationary frequencies and rates. heuristic_mec_bounds is the three-call CTMDP gain
 heuristic with its two rate assignments built pair by pair.
 chernoff_log_term and chernoff_minimizers give the dwell-time Chernoff
 bound's log terms and their closed-form minimizers. model_graph is the
@@ -107,6 +108,16 @@ def deflate(M: MecRecord, partial: PartialModel) -> float:
             moved = max(moved, partial.U[s] - up)
             partial.U[s] = up
     return moved
+
+
+def record_step(partial: PartialModel, s: int, a: str, t: int, dwell: float | None) -> None:
+    """Count one step of (s, a) to t, with its dwell time for a CTMDP."""
+    key = (s, a)
+    partial.counts[key] += 1
+    succ = partial.post[key]
+    succ[t] = succ.get(t, 0) + 1
+    if dwell is not None:
+        partial.dwell_sum[key] = partial.dwell_sum.get(key, 0.0) + dwell
 
 
 def ctmdp_mec_gain(pi, r, lam) -> float:

@@ -285,11 +285,16 @@ def test_run_bad_seed_list_exits_2(models_dir, capsys):
         ("--delta", "1.5", "delta_mp"),
         ("--epsilon", "-1", "epsilon_mp"),
         ("--episodes-per-round", "0", "episodes_per_round"),
+        ("--timeout-s", "0", "timeout_s"),
+        ("--timeout-s", "-1", "timeout_s"),
     ],
-    ids=["negative-seed", "delta-0", "delta-1.5", "negative-epsilon", "no-episodes"],
+    ids=[
+        "negative-seed", "delta-0", "delta-1.5", "negative-epsilon", "no-episodes", "timeout-0", "negative-timeout",
+    ],
 )
 def test_run_out_of_range_input_exits_2(models_dir, capsys, flag, value, message):
-    # the timeout only bounds a run that the input check fails to stop
+    # the timeout only bounds a run that the input check fails to stop;
+    # argparse keeps the last --timeout-s, so the timeout cases override it
     code = main(["run", "--model", str(models_dir / "two_mec.mdp"), "--timeout-s", "1", flag, value])
     assert code == 2
     assert message in capsys.readouterr().err

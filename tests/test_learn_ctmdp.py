@@ -3,6 +3,8 @@ bounds, and the continuous-time end-to-end loop."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,7 +248,7 @@ def test_simulate_mec_ctmdp_refreshes_rate_estimates(cycle_rates):
         ctmdp=True,
     )
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
-    assert simulate_mec(_cycle_mec(), oracle, 2000, learner_rng(0), partial, start=0)
+    assert simulate_mec(_cycle_mec(), oracle, 2000, learner_rng(0), partial, start=0, deadline=math.inf)
     rates = {sa: partial.counts[sa] / partial.dwell_sum[sa] for sa in ((0, "a"), (1, "a"))}
     assert rates[(0, "a")] == pytest.approx(2.0, rel=0.15)
     assert rates[(1, "a")] == pytest.approx(1.0, rel=0.15)
@@ -262,7 +264,7 @@ def test_simulate_mec_ctmdp_reports_escape(cycle_rates):
     )
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
     M = MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})})
-    assert simulate_mec(M, oracle, 10, learner_rng(0), partial, start=0) is False
+    assert simulate_mec(M, oracle, 10, learner_rng(0), partial, start=0, deadline=math.inf) is False
 
 
 def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
@@ -280,7 +282,7 @@ def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
     partial.mecs.append(M)
     partial.rebuild_stay_of()
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
-    out = _refine_mec_ctmdp(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0)
+    out = _refine_mec_ctmdp(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0, deadline=math.inf)
     assert out is None
     assert M not in partial.mecs
     assert partial.stay_of.get(0) is None

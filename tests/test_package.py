@@ -68,3 +68,27 @@ def test_knob_inventory():
         "--model", "--mode", "--epsilon", "--delta", "--episodes-per-round", "--timeout-s", "--seed", "--csv",
         "--svg", "--anytime", "--exact-mec-bounds", "--absolute",
     }
+
+
+def test_defaulted_parameter_inventory():
+    # an optional parameter is a setting too: each one here has a caller
+    # outside the tests that needs its default and another that sets it
+    defaults = set()
+    for path in sorted((ROOT / "src" / "mppac").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(f): f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaults |= {(path.stem, owner.get(id(node), "") + node.name, a.arg) for a in named}
+    assert defaults == {
+        ("cli", "main", "argv"),
+        ("learn_mdp", "on_demand_bvi", "config"),
+        ("learn_ctmdp", "on_demand_bvi_ctmdp", "config"),
+        ("learn_mdp", "update_mec_value", "bound"),
+        ("model", "SampleOracle.__init__", "info_level"),
+        ("model", "SampleOracle.__init__", "rng_seed"),
+    }
