@@ -41,6 +41,7 @@ MODES = {
 # generated below instead of read from models/
 LAYERED = "layered"
 TIED_RING = "tied_ring"
+RANDOM5_X3 = "random5_x3"
 
 # name -> (model, mode, seed, LearnerConfig overrides)
 CASES = {
@@ -57,6 +58,7 @@ CASES = {
     "layered-greybox-s0": (LAYERED, "greybox", 0, {"epsilon_mp": 0.05, "episodes_per_round": 200}),
     "tied_ring-blackbox-s0": (TIED_RING, "blackbox", 0, {"epsilon_mp": 0.05}),
     "tied_ring-exact-greybox-s0": (TIED_RING, "greybox", 0, {"epsilon_mp": 0.05, "exact_mec_bounds": True}),
+    "random5_x3-blackbox-s0": (RANDOM5_X3, "blackbox", 0, {"epsilon_mp": 0.15, "episodes_per_round": 1000}),
 }
 
 
@@ -113,7 +115,21 @@ def tied_ring_ctmdp(seed: int = 5, size: int = 4):
     return parse_model("\n".join(lines) + "\n")
 
 
-GENERATED = {LAYERED: layered_model, TIED_RING: tied_ring_ctmdp}
+def random5_x3():
+    """random5.mdp with every reward times 3: r_max 3, value 1.75. The
+    learner discovers the rewards 0.75, 2.25 and 3 one after another, so it
+    rescales its scaled gain bounds as the largest reward seen grows, and
+    its relative termination width divides by an r_max other than 1."""
+    lines = []
+    for line in (ROOT / "models" / "random5.mdp").read_text(encoding="utf-8").splitlines():
+        if line.startswith("reward "):
+            _, s, r = line.split()
+            line = f"reward {s} {3 * float(r)!r}"
+        lines.append(line)
+    return parse_model("\n".join(lines) + "\n")
+
+
+GENERATED = {LAYERED: layered_model, TIED_RING: tied_ring_ctmdp, RANDOM5_X3: random5_x3}
 
 
 def run_case(name: str) -> dict:
