@@ -9,6 +9,7 @@ from pathlib import Path
 from types import ModuleType
 
 import mppac
+from mppac import learn_ctmdp
 from mppac.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,3 +93,15 @@ def test_defaulted_parameter_inventory():
         ("model", "SampleOracle.__init__", "info_level"),
         ("model", "SampleOracle.__init__", "rng_seed"),
     }
+
+
+def test_benchmark_bindings_resolve(monkeypatch):
+    # bench/tracer.py swaps functions by module and name and raises if one is
+    # missing or bound to another function in some namespace; bench/run.py
+    # clears learn_ctmdp's alpha cache between runs
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracer
+
+    with tracer.Tracer().patched():
+        pass
+    assert callable(learn_ctmdp._ALPHA_CACHE.clear)
