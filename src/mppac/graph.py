@@ -1,9 +1,11 @@
 """Maximal end-component decomposition and sure-EC detection.
 
-Works over any adjacency view mapping (state, action) to a collection of
-successors (a set, or a learned {successor: count} dict, whose keys are the
-successors), so the same code serves full models (whitebox) and learned
-partial models.
+The decomposition and the leaving actions work over any adjacency view
+mapping (state, action) to a collection of successors (a set, or a learned
+{successor: count} dict, whose keys are the successors), so the same code
+serves full models (whitebox) and learned partial models. The sure-EC
+checks read a learned {successor: count} mapping, whose values sum to the
+pair's sample count.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def mec_decomposition(graph) -> list[MecRecord]:
     return mecs
 
 
-def is_delta_sure_ec(T, counts, post, delta_tp: float, p_min: float) -> bool:
+def is_delta_sure_ec(T, post, delta_tp: float, p_min: float) -> bool:
     """Strict sure-EC check for a state set T of the observed graph.
 
     A staying pair is any known (s, a), s in T, whose *observed* successors
@@ -135,30 +137,22 @@ def is_delta_sure_ec(T, counts, post, delta_tp: float, p_min: float) -> bool:
     stays, so it blocks until sampled (count 0 never meets the threshold).
     True iff every staying pair has count >= ec_required_samples.
 
-    counts and post must cover every available action of every state in T
-    (count 0 / no successors for never-sampled actions).
+    post maps every available action of every state in T to its
+    {successor: count} dict (empty for never-sampled actions).
     """
     need = ec_required_samples(delta_tp, p_min)
     T = frozenset(T)
     for (s, a), ts in post.items():
-        if s in T and frozenset(ts) <= T:
-            if counts.get((s, a), 0) < need:
-                return False
+        if s in T and ts.keys() <= T and sum(ts.values()) < need:
+            return False
     return True
 
 
-def find_delta_sure_mecs(partial, delta_tp: float, p_min: float) -> list[MecRecord]:
-    """MECs of the observed graph after deleting every action sampled fewer
-    than ec_required_samples times. partial is anything with ``counts``
-    ((s,a) -> int) and ``post`` ((s,a) -> observed successors) mappings.
-    """
+def find_delta_sure_mecs(post, delta_tp: float, p_min: float) -> list[MecRecord]:
+    """MECs of the observed graph post ((s,a) -> {successor: count}) after
+    deleting every action sampled fewer than ec_required_samples times."""
     need = ec_required_samples(delta_tp, p_min)
-    graph = {
-        (s, a): frozenset(ts)
-        for (s, a), ts in partial.post.items()
-        if partial.counts.get((s, a), 0) >= need
-    }
-    return mec_decomposition(graph)
+    return mec_decomposition({sa: ts for sa, ts in post.items() if sum(ts.values()) >= need})
 
 
 def leaving_pairs(M: MecRecord, available, post) -> list[tuple[int, str]]:

@@ -97,9 +97,9 @@ def update_mec_value_ctmdp(
 
 
 def _pair_rates(M: MecRecord, partial: PartialModel) -> dict:
-    # every step of a pair adds one dwell time, so counts are sample counts
+    # every step of a pair adds one observed successor and one dwell time
     return {
-        (s, a): partial.counts[(s, a)] / partial.dwell_sum[(s, a)]
+        (s, a): sum(partial.post[(s, a)].values()) / partial.dwell_sum[(s, a)]
         for s in M.states
         for a in M.actions[s]
     }
@@ -183,7 +183,7 @@ def _bound_mec_gain_ctmdp(M, partial, config, beta):
     least-sampled pair (achieved_rate_alpha does not grow with the count).
     The per-pair rate inconfidence equals delta_tp by the split."""
     delta_tp = partial.current_delta_tp()
-    least = min(partial.counts[(s, a)] for s in M.states for a in M.actions[s])
+    least = min(sum(partial.post[(s, a)].values()) for s in M.states for a in M.actions[s])
     alpha_r = achieved_rate_alpha(least, delta_tp)
     bounds = find_mec_mp_bounds_exact if config.exact_mec_bounds else find_mec_mp_bounds_heuristic
     return bounds(M, partial, alpha_r, beta, delta_tp)

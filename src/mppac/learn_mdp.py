@@ -110,8 +110,8 @@ class PartialModel:
         self.info_level = info_level
         self.ctmdp = ctmdp
         self.available: dict[int, tuple[str, ...]] = {}  # discovered states
-        self.counts: dict[tuple[int, str], int] = {}  # #(s,a)
         # post[(s,a)][t] = #(s,a,t); its keys are the observed successors
+        # and #(s,a) is the sum of its values
         self.post: dict[tuple[int, str], dict[int, int]] = {}
         self.succ_total: dict[tuple[int, str], int] = {}  # greybox |post(s,a)|
         self.dwell_sum: dict[tuple[int, str], float] = {}  # CTMDP residence times
@@ -145,7 +145,6 @@ class PartialModel:
         av = tuple(oracle.available_actions(s))
         self.available[s] = av
         for a in av:
-            self.counts[(s, a)] = 0
             self.post[(s, a)] = {}
             self.act_L[(s, a)] = 0.0
             self.act_U[(s, a)] = 1.0
@@ -174,10 +173,11 @@ class PartialModel:
     def row(self, s: int, a: str) -> tuple[int, tuple[tuple[int, float], ...]]:
         """(#(s,a), ((t, #(s,a,t)/#(s,a)), ...)) with successors ascending;
         an unsampled pair gives (0, ())."""
-        n = self.counts[(s, a)]
+        succ = self.post[(s, a)]
+        n = sum(succ.values())
         if n == 0:
             return 0, ()
-        return n, tuple((t, c / n) for t, c in sorted(self.post[(s, a)].items()))
+        return n, tuple((t, c / n) for t, c in sorted(succ.items()))
 
     def leaving_action(self, rec: MecRecord) -> tuple[int, str]:
         """best_leaving_action of a stay record at the current values and
@@ -197,7 +197,7 @@ class PartialModel:
     # -- inconfidence bookkeeping ---------------------------------------
 
     def num_pairs(self) -> int:
-        return max(1, len(self.counts))
+        return max(1, len(self.post))
 
     def current_delta_tp(self) -> float:
         """Per-transition inconfidence at the current discovery horizon; for
@@ -222,9 +222,7 @@ class PartialModel:
         incomplete."""
         if self.update_style != GREYBOX_UPDATES or self.info_level == GREYBOX:
             return 0.0
-        return sum(
-            greybox_miss_probability(self.p_min, n) for n in self.counts.values() if n > 0
-        )
+        return sum(greybox_miss_probability(self.p_min, sum(succ.values())) for succ in self.post.values() if succ)
 
     # -- MEC record bookkeeping -----------------------------------------
 
@@ -478,15 +476,14 @@ def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
     graph = {}
     for q in sorted(px):
         for a in partial.available[q]:
-            if partial.counts[(q, a)] >= need:
-                ts = partial.post[(q, a)]
-                if ts and ts.keys() <= px:
-                    graph[(q, a)] = frozenset(ts)
+            ts = partial.post[(q, a)]
+            if ts.keys() <= px and sum(ts.values()) >= need:
+                graph[(q, a)] = frozenset(ts)
     for m in mec_decomposition(graph):
         if s in m.states:
             # the gate reads only pairs of m's states, which all lie on the path
             own = {(q, a): partial.post[(q, a)] for q in m.states for a in partial.available[q]}
-            return m if is_delta_sure_ec(m.states, partial.counts, own, delta_tp, p_min) else None
+            return m if is_delta_sure_ec(m.states, own, delta_tp, p_min) else None
     return None
 
 
@@ -506,7 +503,6 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
     choices = partial._choice_cache
     leaves = partial._leave_cache
     available = partial.available
-    counts = partial.counts
     post = partial.post
     dwell_sum = partial.dwell_sum
     sample = oracle.sample_step
@@ -530,7 +526,6 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
         else:
             t, dwell = sample(s, a)
             key = (s, a)
-            counts[key] += 1
             succ = post[key]
             c = succ.get(t)
             if c is None:
@@ -570,7 +565,7 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
 def compute_n_samples(M: MecRecord, partial: PartialModel) -> int:
     """Smallest INITIAL_MEC_SAMPLES*MEC_SAMPLE_MULTIPLIER^j strictly above the
     least visit count of M's pairs."""
-    least = min(partial.counts[(s, a)] for s in M.states for a in M.actions[s])
+    least = min(sum(partial.post[(s, a)].values()) for s in M.states for a in M.actions[s])
     n = INITIAL_MEC_SAMPLES
     while n <= least:
         n *= MEC_SAMPLE_MULTIPLIER
@@ -586,17 +581,14 @@ def simulate_mec(
     n_succ = sum(len(partial.post[(s, a)]) for s in M.states for a in M.actions[s])
     steps = n_samples * max(1, n_succ)
     # This loop dominates refinement time. It draws an action only where
-    # there is a choice, and it keeps the counts and dwell sums of M's pairs
-    # in per-pair slots: the same sums in the same order as the episode's
-    # step, written back to the partial model when the walk stops.
-    counts = partial.counts
-    post = partial.post
+    # there is a choice, and it keeps the dwell sums of M's pairs in per-pair
+    # slots: the same sums in the same order as the episode's step, written
+    # back to the partial model when the walk stops.
     dwell_sum = partial.dwell_sum
     pairs = [(s, a) for s in sorted(M.states) for a in sorted(M.actions[s])]
     slot = {sa: j for j, sa in enumerate(pairs)}
     acts = {s: [(a, slot[(s, a)]) for a in sorted(M.actions[s])] for s in M.states}
-    n = [counts[sa] for sa in pairs]
-    succs = [post[sa] for sa in pairs]
+    succs = [partial.post[sa] for sa in pairs]
     dwells = [dwell_sum.get(sa) for sa in pairs]  # None until a pair has a dwell
     states = M.states
     sample = oracle.sample_step
@@ -610,7 +602,6 @@ def simulate_mec(
             av = acts[s]
             a, j = av[min(int(rand() * len(av)), len(av) - 1)] if len(av) > 1 else av[0]
             t, dwell = sample(s, a)
-            n[j] += 1
             succ = succs[j]
             succ[t] = succ.get(t, 0) + 1
             if dwell is not None:
@@ -622,8 +613,7 @@ def simulate_mec(
             s = t
         return True
     finally:
-        for sa, c, total in zip(pairs, n, dwells):
-            counts[sa] = c
+        for sa, total in zip(pairs, dwells):
             if total is not None:
                 dwell_sum[sa] = total
 
@@ -794,7 +784,7 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
                     if _needs_refinement(rec, partial, config):
                         refine(rec, oracle, partial, config, rng, path[-2], deadline)
 
-        fresh = find_delta_sure_mecs(partial, partial.current_delta_tp(), partial.p_min)
+        fresh = find_delta_sure_mecs(partial.post, partial.current_delta_tp(), partial.p_min)
         partial.reconcile_mecs(fresh)
         _vi_phase(partial)
         low = partial.L[oracle.init]

@@ -67,7 +67,6 @@ def frozen_partial(
     rewards,
     *,
     p_min=0.1,
-    counts=None,
     dwell_sums=None,
     succ_total=None,
     update_style=BLACKBOX_UPDATES,
@@ -77,10 +76,8 @@ def frozen_partial(
 ) -> PartialModel:
     """PartialModel with hand-frozen observation counts.
 
-    triples maps (s, a, t) -> observation count; available actions, pair
-    counts, and the per-pair successor counts in post are derived from it. counts may
-    override the per-pair totals (to model observations whose successor
-    breakdown the test does not care about).
+    triples maps (s, a, t) -> observation count; available actions and the
+    per-pair successor counts in post are derived from it.
 
     A run never records a step into PLUS, MINUS or UNKNOWN: it reaches them
     only by a stay draw. So each of them that triples names as a successor
@@ -108,12 +105,9 @@ def frozen_partial(
         partial.U[s] = 1.0
     for (s, a, t), n in triples.items():
         key = (s, a)
-        partial.counts[key] = partial.counts.get(key, 0) + n
         partial.post.setdefault(key, {})[t] = n
         partial.act_L[key] = 0.0
         partial.act_U[key] = 1.0
-    if counts:
-        partial.counts.update(counts)
     if dwell_sums:
         partial.dwell_sum.update(dwell_sums)
     for s, r in rewards.items():

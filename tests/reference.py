@@ -42,7 +42,7 @@ def lower_tp_estimate(count_sat: int, count_total: int, width: float) -> float:
 def bellman_blackbox(s: int, a: str, partial: PartialModel, delta_tp: float):
     """Pessimistic lower / optimistic upper one-step values: the unassigned
     estimate mass counts as 0 for the lower bound and 1 for the upper."""
-    n = partial.counts[(s, a)]
+    n = sum(partial.post[(s, a)].values())
     if n == 0:
         return 0.0, 1.0
     w = tp_width(n, delta_tp)
@@ -58,7 +58,7 @@ def bellman_blackbox(s: int, a: str, partial: PartialModel, delta_tp: float):
 def bellman_greybox(s: int, a: str, partial: PartialModel, delta_tp: float):
     """As blackbox, but residual mass goes to the worst/best *seen*
     successor instead of to 0/1."""
-    n = partial.counts[(s, a)]
+    n = sum(partial.post[(s, a)].values())
     if n == 0:
         return 0.0, 1.0
     w = tp_width(n, delta_tp)
@@ -113,7 +113,6 @@ def deflate(M: MecRecord, partial: PartialModel) -> float:
 def record_step(partial: PartialModel, s: int, a: str, t: int, dwell: float | None) -> None:
     """Count one step of (s, a) to t, with its dwell time for a CTMDP."""
     key = (s, a)
-    partial.counts[key] += 1
     succ = partial.post[key]
     succ[t] = succ.get(t, 0) + 1
     if dwell is not None:
@@ -141,7 +140,9 @@ def heuristic_mec_bounds(M: MecRecord, partial: PartialModel, alpha_r: float, be
     pairs of states earning at least the plain gain estimate and slows down
     the rest, for the lower bound, and the mirrored "slow" one for the upper
     bound. All three calls uniformize at max rate * (1 + alpha_r)."""
-    lam = {(s, a): partial.counts[(s, a)] / partial.dwell_sum[(s, a)] for s in M.states for a in M.actions[s]}
+    lam = {
+        (s, a): sum(partial.post[(s, a)].values()) / partial.dwell_sum[(s, a)] for s in M.states for a in M.actions[s]
+    }
     C = max(lam.values()) * (1.0 + alpha_r)
     l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C)
     v_hat = (l0 + u0) / 2.0

@@ -165,27 +165,24 @@ def test_decomposed_mecs_are_disjoint_closed_and_connected():
 
 def test_sure_ec_boundary_at_required_samples():
     T = {0, 1}
-    post = {(0, "a"): {1}, (1, "a"): {0}}
     need = ec_required_samples(0.1, 0.1)
     assert need == 22
-    assert is_delta_sure_ec(T, {(0, "a"): 22, (1, "a"): 22}, post, 0.1, 0.1)
-    assert not is_delta_sure_ec(T, {(0, "a"): 22, (1, "a"): 21}, post, 0.1, 0.1)
+    assert is_delta_sure_ec(T, {(0, "a"): {1: 22}, (1, "a"): {0: 22}}, 0.1, 0.1)
+    assert not is_delta_sure_ec(T, {(0, "a"): {1: 22}, (1, "a"): {0: 21}}, 0.1, 0.1)
 
 
 def test_sure_ec_ignores_leaving_pairs():
     # the under-sampled action observably leaves T, so it cannot hide mass
     T = {0}
-    post = {(0, "stay"): {0}, (0, "out"): {0, 5}}
-    counts = {(0, "stay"): 50, (0, "out"): 1}
-    assert is_delta_sure_ec(T, counts, post, 0.1, 0.1)
+    post = {(0, "stay"): {0: 50}, (0, "out"): {0: 1, 5: 1}}
+    assert is_delta_sure_ec(T, post, 0.1, 0.1)
 
 
 def test_sure_ec_blocks_on_unsampled_action():
     # an unsampled action has an empty observed post, which trivially stays
     T = {0}
-    post = {(0, "a"): {0}, (0, "b"): set()}
-    counts = {(0, "a"): 100, (0, "b"): 0}
-    assert not is_delta_sure_ec(T, counts, post, 0.1, 0.1)
+    post = {(0, "a"): {0: 100}, (0, "b"): {}}
+    assert not is_delta_sure_ec(T, post, 0.1, 0.1)
 
 
 def test_find_sure_mecs_filters_under_sampled_rows():
@@ -198,23 +195,22 @@ def test_find_sure_mecs_filters_under_sampled_rows():
         rewards={0: 1.0, 1: 0.0, 2: 0.0},
         p_min=0.1,
     )
-    mecs = find_delta_sure_mecs(partial, 0.1, 0.1)
+    mecs = find_delta_sure_mecs(partial.post, 0.1, 0.1)
     assert [m.states for m in mecs] == [frozenset({0, 1})]
 
 
 def test_find_sure_mecs_empty_before_sampling():
     partial = frozen_partial({}, rewards={})
-    assert find_delta_sure_mecs(partial, 0.1, 0.1) == []
+    assert find_delta_sure_mecs(partial.post, 0.1, 0.1) == []
 
 
 def test_find_sure_mecs_grows_with_counts():
     # adding samples can only add sure MECs, never remove them
     triples = {(0, "a", 1): 22, (1, "a", 0): 22, (2, "a", 2): 21}
     partial = frozen_partial(triples, rewards={0: 0.0, 1: 0.0, 2: 1.0}, p_min=0.1)
-    before = {frozenset(m.states) for m in find_delta_sure_mecs(partial, 0.1, 0.1)}
-    partial.counts[(2, "a")] = 22
+    before = {frozenset(m.states) for m in find_delta_sure_mecs(partial.post, 0.1, 0.1)}
     partial.post[(2, "a")][2] = 22
-    after = {frozenset(m.states) for m in find_delta_sure_mecs(partial, 0.1, 0.1)}
+    after = {frozenset(m.states) for m in find_delta_sure_mecs(partial.post, 0.1, 0.1)}
     assert before <= after
     assert frozenset({2}) in after - before
 

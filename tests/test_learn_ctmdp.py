@@ -249,7 +249,7 @@ def test_simulate_mec_ctmdp_refreshes_rate_estimates(cycle_rates):
     )
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
     assert simulate_mec(_cycle_mec(), oracle, 2000, learner_rng(0), partial, start=0, deadline=math.inf)
-    rates = {sa: partial.counts[sa] / partial.dwell_sum[sa] for sa in ((0, "a"), (1, "a"))}
+    rates = {sa: sum(partial.post[sa].values()) / partial.dwell_sum[sa] for sa in ((0, "a"), (1, "a"))}
     assert rates[(0, "a")] == pytest.approx(2.0, rel=0.15)
     assert rates[(1, "a")] == pytest.approx(1.0, rel=0.15)
 
@@ -291,7 +291,7 @@ def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
 
 def _partial_with_pairs(delta, p_min, pairs, ctmdp):
     partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp)
-    partial.counts = {(s, "a"): 1 for s in range(pairs)}
+    partial.post = {(s, "a"): {s: 1} for s in range(pairs)}
     return partial
 
 

@@ -99,24 +99,30 @@ def test_stay_distribution_is_a_distribution(l, gap):
 # Bellman updates
 
 
+# at n = 10 observations, delta_tp = e^-0.2 gives the Hoeffding width
+# sqrt(0.2 / 20) = 0.1
+DELTA_TP_W01 = math.exp(-0.2)
+
+
 def _bellman_partial(update_style=BLACKBOX_UPDATES):
-    # ten observations of (0, 'a'): three to state 1, four to state 2, the
-    # remaining mass deliberately unassigned (counts overridden to 10)
+    # ten observations of (0, 'a'): three to state 1 (value 1), four to
+    # state 2 (value 0.5) and three to state 3 (value 0.75)
     partial = frozen_partial(
-        {(0, "a", 1): 3, (0, "a", 2): 4},
+        {(0, "a", 1): 3, (0, "a", 2): 4, (0, "a", 3): 3},
         rewards={0: 1.0},
-        counts={(0, "a"): 10},
         update_style=update_style,
     )
     partial.L[1], partial.U[1] = 1.0, 1.0
     partial.L[2], partial.U[2] = 0.5, 0.5
+    partial.L[3], partial.U[3] = 0.75, 0.75
     return partial
 
 
 def test_bellman_blackbox_worked_example():
-    # with zero width the estimates are the raw frequencies 0.3 and 0.4;
-    # the unassigned 0.3 counts as 0 below and 1 above
-    low, up = bellman_blackbox(0, "a", _bellman_partial(), delta_tp=1.0)
+    # width 0.1 lowers the frequencies 0.3, 0.4, 0.3 to 0.2, 0.3, 0.2, so
+    # 0.2 + 0.15 + 0.15 = 0.5 below; the unassigned 0.3 counts as 0 below
+    # and 1 above
+    low, up = bellman_blackbox(0, "a", _bellman_partial(), delta_tp=DELTA_TP_W01)
     assert low == pytest.approx(0.5)
     assert up == pytest.approx(0.8)
 
@@ -124,14 +130,14 @@ def test_bellman_blackbox_worked_example():
 def test_bellman_greybox_worked_example():
     # same estimates, but the residual mass goes to the seen extremes:
     # min L = 0.5 below, max U = 1.0 above
-    low, up = bellman_greybox(0, "a", _bellman_partial(), delta_tp=1.0)
+    low, up = bellman_greybox(0, "a", _bellman_partial(), delta_tp=DELTA_TP_W01)
     assert low == pytest.approx(0.65)
     assert up == pytest.approx(0.8)
 
 
 def test_bellman_unsampled_pair_is_vacuous():
     partial = _bellman_partial()
-    partial.counts[(0, "a")] = 0
+    partial.post[(0, "a")] = {}
     assert bellman_blackbox(0, "a", partial, 0.01) == (0.0, 1.0)
     assert bellman_greybox(0, "a", partial, 0.01) == (0.0, 1.0)
 
@@ -215,23 +221,24 @@ def _swept_partials(draw):
     complete or an incomplete support."""
     n_states = draw(st.integers(1, 5))
     targets = list(range(n_states)) + [PLUS, MINUS, UNKNOWN]
-    triples, counts, succ_total = {}, {}, {}
+    triples, unsampled, succ_total = {}, [], {}
     for s in range(n_states):
         for a in ("a", "b", "c")[: draw(st.integers(1, 3))]:
             ts = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=4, unique=True))
             for t in ts:
                 triples[(s, a, t)] = draw(st.integers(1, 60))
-            observed = sum(triples[(s, a, t)] for t in ts)
-            counts[(s, a)] = draw(st.sampled_from([0, observed, observed + 7]))
+            if draw(st.booleans()):
+                unsampled.append((s, a))
             succ_total[(s, a)] = len(ts) + draw(st.integers(0, 1))
     info = draw(st.sampled_from([BLACKBOX, GREYBOX]))
     partial = frozen_partial(
         triples,
         rewards={s: 1.0 for s in range(n_states)},
-        counts=counts,
         succ_total=succ_total if info == GREYBOX else None,
         info_level=info,
     )
+    for sa in unsampled:
+        partial.post[sa] = {}
     unit = st.floats(min_value=0.0, max_value=1.0)
     for s in range(n_states):
         partial.L[s], partial.U[s] = sorted((draw(unit), draw(unit)))
@@ -367,7 +374,7 @@ def _sure_cycle_partial(extra=None):
 
 
 def _reconcile(partial):
-    fresh = find_delta_sure_mecs(partial, partial.current_delta_tp(), partial.p_min)
+    fresh = find_delta_sure_mecs(partial.post, partial.current_delta_tp(), partial.p_min)
     assert fresh, "the cycle must be a sure MEC"
     partial.reconcile_mecs(fresh)
     return fresh
@@ -482,8 +489,8 @@ def test_compute_n_samples_escalates_strictly():
     M = _cycle_record()
     for least, expected in ((0, 10_000), (9_999, 10_000), (10_000, 50_000), (60_000, 250_000)):
         partial = _cycle_partial()
-        partial.counts[(1, "a")] = least
-        partial.counts[(2, "b")] = least + 17
+        partial.post[(1, "a")] = {2: least} if least else {}
+        partial.post[(2, "b")] = {1: least + 17}
         assert compute_n_samples(M, partial) == expected
 
 
@@ -497,7 +504,7 @@ def test_simulate_mec_walks_the_stated_step_count(cycle_entry):
     M = _cycle_record()
     # two observed successors: n_samples * 2 steps in total
     assert simulate_mec(M, oracle, 5, learner_rng(0), partial, start=1, deadline=math.inf)
-    assert partial.counts[(1, "a")] + partial.counts[(2, "b")] == 2 + 10
+    assert sum(partial.post[(1, "a")].values()) + sum(partial.post[(2, "b")].values()) == 2 + 10
     assert oracle.steps_sampled == 10
 
 
@@ -517,11 +524,11 @@ def test_simulate_mec_respects_a_passed_deadline(cycle_entry):
     partial = _cycle_partial(count=1)
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=0)
     M = _cycle_record()
-    before = dict(partial.counts)
+    before = copy.deepcopy(partial.post)
     assert simulate_mec(
         M, oracle, 10_000, learner_rng(0), partial, 1, deadline=time.monotonic() - 1.0
     )
-    assert partial.counts == before  # out of time before the first step
+    assert partial.post == before  # out of time before the first step
 
 
 class _LoggingOracle(SampleOracle):
@@ -548,9 +555,9 @@ class _LoggingOracle(SampleOracle):
 def test_simulate_mec_records_steps_as_record_step_does(
     models_dir, model_file, actions, seed, stays
 ):
-    # the walk counts in its own slots; replaying its steps through the
-    # reference record_step (and discover, for an escape target) must give
-    # the same observations
+    # the walk keeps dwell sums in its own slots; replaying its steps through
+    # the reference record_step (and discover, for an escape target) must
+    # give the same observations
     model = load_model(models_dir / model_file)
     oracle = _LoggingOracle(model, BLACKBOX, rng_seed=seed)
     partial = PartialModel(model.p_min, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=model.kind == CTMDP)
@@ -564,7 +571,6 @@ def test_simulate_mec_records_steps_as_record_step_does(
     for s, a, t, dwell in oracle.log:
         record_step(replay, s, a, t, dwell)
         replay.discover(t, oracle)
-    assert replay.counts == partial.counts
     assert replay.post == partial.post
     assert replay.dwell_sum == partial.dwell_sum
     assert replay.available == partial.available
@@ -749,10 +755,10 @@ def test_update_mec_value_skips_sampling_below_target_width(cycle_entry):
     partial.mecs.append(M)
     partial.rebuild_stay_of()
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=1)
-    before = dict(partial.counts)
+    before = copy.deepcopy(partial.post)
     out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(1), start=1, deadline=math.inf)
     assert out is not None
-    assert partial.counts == before  # tight enough: no walk was spent
+    assert partial.post == before  # tight enough: no walk was spent
     assert oracle.steps_sampled == 0
 
 

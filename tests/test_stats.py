@@ -288,7 +288,7 @@ def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
     # the per-pair transition inconfidence equals the rate share spread over
     # the pairs, and the two shares of delta_mp add back up to it
     partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
-    partial.counts = dict.fromkeys(((s, "a") for s in range(pairs)), 0)
+    partial.post = dict.fromkeys(((s, "a") for s in range(pairs)), {})
     d1, d2 = split_mp_inconfidence(delta, p_min)
     assert partial.current_delta_tp() == pytest.approx(d2 / pairs, rel=1e-9)
     assert d1 + d2 == pytest.approx(delta)
@@ -300,6 +300,6 @@ def test_mdp_budget_spends_everything_on_transitions():
     mdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=False)
     ctmdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
     for partial in (mdp, ctmdp):
-        partial.counts = {(s, "a"): 0 for s in range(1000)}
+        partial.post = {(s, "a"): {} for s in range(1000)}
     assert mdp.current_delta_tp() == pytest.approx(5e-6)
     assert ctmdp.current_delta_tp() < mdp.current_delta_tp()
