@@ -51,7 +51,6 @@ from .model import (
     ExplicitModel,
     ModelError,
     SampleOracle,
-    StepSample,
     learner_rng,
     load_model,
     oracle_rng,

@@ -7,7 +7,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -265,17 +265,6 @@ def learner_rng(seed: int) -> np.random.Generator:
     return _philox(seed, 1)
 
 
-class StepSample(NamedTuple):
-    # NamedTuple rather than a dataclass: a CTMDP step constructs one, which
-    # makes allocation cost part of the simulation budget (an MDP step
-    # returns one of its row's prebuilt samples)
-    successor: int
-    dwell: float | None = None  # exponential residence time; None for MDPs
-
-
-_new_tuple = tuple.__new__
-
-
 class SampleOracle:
     """Learner-facing view of a model.
 
@@ -289,27 +278,20 @@ class SampleOracle:
             raise ValueError(f"unknown info level {info_level!r}")
         self._model = model
         self.info_level = info_level
-        self.rng_seed = int(rng_seed)
-        rng = oracle_rng(self.rng_seed)
+        self.kind = model.kind
+        self.init = model.init
+        self.p_min = model.p_min
+        rng = oracle_rng(int(rng_seed))
         # A Generator gives the same uniforms in blocks as in scalar calls,
         # and one numpy call per block costs far less than one per step.
         blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         self._uniforms = chain.from_iterable(blocks)
         self._is_mdp = model.kind == MDP
-        self._dist_cache: dict[tuple[int, str], tuple[tuple[StepSample, ...], list[float], float]] = {}
+        # (s, a) -> (one (t, None) step per successor t, which an MDP step
+        # returns as it is; cumulative probabilities; total rate), built on
+        # the pair's first draw
+        self._dist_cache: dict[tuple[int, str], tuple[tuple[tuple[int, None], ...], list[float], float]] = {}
         self.steps_sampled = 0  # drives the deterministic trace clock
-
-    @property
-    def kind(self) -> str:
-        return self._model.kind
-
-    @property
-    def init(self) -> int:
-        return self._model.init
-
-    @property
-    def p_min(self) -> float:
-        return self._model.p_min
 
     def available_actions(self, s: int) -> tuple[str, ...]:
         return self._model.actions[s]
@@ -317,49 +299,39 @@ class SampleOracle:
     def reward(self, s: int) -> float:
         return self._model.reward[s]
 
+    def _row(self, s: int, a: str) -> Mapping[int, float]:
+        row = self._model.rows.get((s, a))
+        if row is None:
+            raise ValueError(f"unknown action {a!r} for state {s}")
+        return row
+
     def successor_count(self, s: int, a: str) -> int:
         """|post(s,a)| of the underlying model. Greybox only."""
         if self.info_level != GREYBOX:
             raise CapabilityError("successor counts are greybox-only")
-        self._dist(s, a)  # raises on unknown action
-        return len(self._model.rows[(s, a)])
+        return len(self._row(s, a))
 
-    def _dist(self, s: int, a: str):
-        """(successor samples, cumulative probabilities, total rate) of (s,a).
-
-        The last cumulative entry is set to exactly 1.0: a uniform u < 1 then
-        always lands on a successor, even where the float sum ends below 1.
-        The samples carry no dwell, so an MDP step returns them as they are.
-        """
-        key = (s, a)
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            return hit
-        row = self._model.rows.get(key)
-        if row is None:
-            raise ValueError(f"unknown action {a!r} for state {s}")
-        succ = sorted(row)
-        total = sum(row[t] for t in succ)
-        cum = list(accumulate(row[t] / total for t in succ))
-        cum[-1] = 1.0
-        hit = (tuple(StepSample(t) for t in succ), cum, total)
-        self._dist_cache[key] = hit
-        return hit
-
-    def sample_step(self, s: int, a: str) -> StepSample:
-        """Draw one transition; for CTMDPs also the exponential dwell time.
+    def sample_step(self, s: int, a: str) -> tuple[int, float | None]:
+        """Draw one transition as ``(successor, dwell)``; ``dwell`` is the
+        exponential residence time for CTMDPs and None for MDPs.
 
         One uniform drives the successor (inverse transform on the cumulative
         row), a second the dwell — the order is part of the stream contract.
+        The last cumulative entry is exactly 1.0, so a uniform u < 1 always
+        lands on a successor, even where the float sum ends below 1.
         """
         hit = self._dist_cache.get((s, a))
         if hit is None:
-            hit = self._dist(s, a)
-        samples, cum, total = hit
-        step = samples[bisect_right(cum, next(self._uniforms))]
+            row = self._row(s, a)
+            succ = sorted(row)
+            total = sum(row[t] for t in succ)
+            cum = list(accumulate(row[t] / total for t in succ))
+            cum[-1] = 1.0
+            hit = self._dist_cache[(s, a)] = (tuple((t, None) for t in succ), cum, total)
+        steps, cum, total = hit
+        step = steps[bisect_right(cum, next(self._uniforms))]
         self.steps_sampled += 1
         if self._is_mdp:
             return step
         # Exponential(lambda) via inverse transform -ln(u)/lambda, u in (0,1]
-        dwell = -math.log1p(-next(self._uniforms)) / total
-        return _new_tuple(StepSample, (step.successor, dwell))  # skips NamedTuple's Python __new__
+        return step[0], -math.log1p(-next(self._uniforms)) / total

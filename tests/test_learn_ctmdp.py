@@ -3,6 +3,7 @@ bounds, and the continuous-time end-to-end loop."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -190,6 +191,51 @@ def test_heuristic_bounds_sit_inside_the_exact_sweep():
     assert hl >= el - 2 * beta
     assert hu <= eu + 2 * beta
     assert hl <= 1 / 3 <= hu
+
+
+# ROADMAP item 5's worked case: a 3-cycle with rewards (1, 0.5, 0) and rate
+# estimates (1, 0.5, 1) at alpha 0.5. Every corner of the rate box keeps the
+# cycle's embedded frequencies at 1/3, so its gains span [1/3, 2/3] in either
+# direction; delta_tp 1 makes the observed rows exact.
+_WORKED_REWARDS = (1.0, 0.5, 0.0)
+_WORKED_RATES = (1.0, 0.5, 1.0)
+_WORKED_CYCLES = pytest.mark.parametrize("succ", [(1, 2, 0), (2, 0, 1)], ids=["0-1-2-0", "0-2-1-0"])
+
+
+def _worked_case(succ, n=1000):
+    partial = frozen_partial(
+        {(s, "a", succ[s]): n for s in range(3)},
+        rewards=dict(enumerate(_WORKED_REWARDS)),
+        p_min=1.0,
+        dwell_sums={(s, "a"): n / lam for s, lam in enumerate(_WORKED_RATES)},
+        ctmdp=True,
+    )
+    M = MecRecord(states=frozenset(range(3)), actions={s: frozenset({"a"}) for s in range(3)})
+    corners = [
+        ctmdp_mec_gain((1 / 3,) * 3, _WORKED_REWARDS, [lam * f for lam, f in zip(_WORKED_RATES, factors)])
+        for factors in itertools.product((0.5, 1.5), repeat=3)
+    ]
+    return (M, partial, 0.5, 1e-6, 1.0), (min(corners), max(corners))
+
+
+@_WORKED_CYCLES
+def test_exact_bounds_contain_the_rate_box_corners(succ):
+    case, (g_min, g_max) = _worked_case(succ)
+    assert (g_min, g_max) == pytest.approx((1 / 3, 2 / 3))
+    low, up = find_mec_mp_bounds_exact(*case)
+    assert low <= g_min and g_max <= up
+
+
+@_WORKED_CYCLES
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the heuristic thresholds at the estimated gain 0.5, which state 1's reward "
+    "ties, and misses 1/3 on 0-1-2-0 and 2/3 on 0-2-1-0",
+)
+def test_heuristic_bounds_contain_the_rate_box_corners(succ):
+    case, (g_min, g_max) = _worked_case(succ)
+    low, up = find_mec_mp_bounds_heuristic(*case)
+    assert low <= g_min and g_max <= up
 
 
 @st.composite

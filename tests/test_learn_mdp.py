@@ -27,7 +27,6 @@ from mppac import (
     MecRecord,
     PartialModel,
     SampleOracle,
-    StepSample,
     compute_n_samples,
     find_delta_sure_mecs,
     learner_rng,
@@ -53,6 +52,7 @@ from mppac.stats import tp_width
 
 from .conftest import frozen_partial
 from .reference import bellman_blackbox, bellman_greybox, deflate, global_update, record_step
+from .test_golden_traces import random5_x3
 
 # ---------------------------------------------------------------------------
 # stay distributions
@@ -990,7 +990,7 @@ class _ScriptedOracle:
 
     def sample_step(self, s, a):
         self.steps_sampled += 1
-        return StepSample(self._script[(s, a)].pop(0))
+        return self._script[(s, a)].pop(0), None
 
 
 def test_episode_leaves_by_an_action_seen_leaving_in_the_same_round():
@@ -1092,3 +1092,18 @@ def test_anytime_run_times_out_cleanly(random5):
     assert report.trace  # at least one round boundary was recorded
     low, up = report.final
     assert 0.0 <= low <= up <= report.r_max_seen + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["relative", "absolute"])
+def test_precision_mode_widths_in_reward_units(mode):
+    # On random5 with rewards x3 (r_max 3), the default "relative" mode ends
+    # narrower than 2ε in reward units, while "absolute" ends narrower than
+    # 2ε·r_max only: "absolute" bounds a width relative to r_max, the naming
+    # defect of ROADMAP item 4, which changes this test on purpose.
+    oracle = SampleOracle(random5_x3(), BLACKBOX, rng_seed=0)
+    config = LearnerConfig(seed=0, epsilon_mp=0.15, episodes_per_round=1000, precision_mode=mode)
+    report = on_demand_bvi(oracle, config)
+    assert not report.timed_out
+    assert report.r_max_seen == 3.0
+    low, up = report.final
+    assert up - low < 2 * config.epsilon_mp * (report.r_max_seen if mode == "absolute" else 1.0)

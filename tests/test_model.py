@@ -220,6 +220,9 @@ def test_oracle_rejects_unknown_action(two_mec):
     oracle = SampleOracle(two_mec, BLACKBOX)
     with pytest.raises(ValueError, match="unknown action"):
         oracle.sample_step(0, "zz")
+    oracle = SampleOracle(two_mec, GREYBOX)
+    with pytest.raises(ValueError, match="unknown action"):
+        oracle.successor_count(0, "zz")
 
 
 def test_oracle_counts_sampled_steps(two_mec):
@@ -232,16 +235,20 @@ def test_oracle_counts_sampled_steps(two_mec):
 
 def test_mdp_steps_have_no_dwell(two_mec):
     step = SampleOracle(two_mec, BLACKBOX).sample_step(0, "a")
-    assert step.successor == 1
-    assert step.dwell is None
+    assert type(step) is tuple
+    t, dwell = step
+    assert t == 1
+    assert dwell is None
 
 
 def test_ctmdp_steps_carry_positive_dwell(cycle_rates):
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=1)
     for _ in range(10):
         step = oracle.sample_step(0, "a")
-        assert step.successor == 1
-        assert step.dwell is not None and step.dwell > 0.0
+        assert type(step) is tuple
+        t, dwell = step
+        assert t == 1
+        assert dwell is not None and dwell > 0.0
 
 
 def test_oracle_replay_is_deterministic(random5):
@@ -263,14 +270,14 @@ def test_ctmdp_replay_is_deterministic(cycle_rates):
 def test_sampled_frequencies_approach_the_row(random5):
     oracle = SampleOracle(random5, BLACKBOX, rng_seed=7)
     n = 2000
-    hits = sum(1 for _ in range(n) if oracle.sample_step(1, "x").successor == 2)
+    hits = sum(t == 2 for t, _ in (oracle.sample_step(1, "x") for _ in range(n)))
     assert hits / n == pytest.approx(0.75, abs=0.05)
 
 
 def test_sampled_dwell_matches_exit_rate(cycle_rates):
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=11)
     n = 3000
-    total = sum(oracle.sample_step(0, "a").dwell for _ in range(n))
+    total = sum(dwell for _, dwell in (oracle.sample_step(0, "a") for _ in range(n)))
     assert total / n == pytest.approx(0.5, rel=0.1)  # Exponential(2) mean
 
 
@@ -282,7 +289,8 @@ def test_steps_follow_the_scalar_oracle_stream(random5, cycle_rates):
     u = oracle_rng(4)
     oracle = SampleOracle(random5, BLACKBOX, rng_seed=4)
     for _ in range(n):
-        assert oracle.sample_step(1, "x").successor == (1 if u.random() < 0.25 else 2)
+        t, _ = oracle.sample_step(1, "x")
+        assert t == (1 if u.random() < 0.25 else 2)
     u = oracle_rng(4)
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=4)
     for _ in range(n):

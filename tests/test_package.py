@@ -1,12 +1,17 @@
-"""The package root's public namespace."""
+"""The package root's public namespace, its settings, and the benchmark's use of it."""
 
 from __future__ import annotations
 
 import argparse
 import ast
 import dataclasses
+import json
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import mppac
 from mppac import learn_ctmdp
@@ -34,7 +39,7 @@ def test_test_references_are_not_exported():
     }
     removed = {
         "stay_distribution", "estimate_rate", "rate_interval", "rate_inconfidence_parts", "chernoff_minimizers",
-        "boundary_rate_assignment",
+        "boundary_rate_assignment", "StepSample",
     }
     assert not any(hasattr(mppac, name) for name in references | removed)
 
@@ -105,3 +110,15 @@ def test_benchmark_bindings_resolve(monkeypatch):
     with tracer.Tracer().patched():
         pass
     assert callable(learn_ctmdp._ALPHA_CACHE.clear)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_run_is_correct(trace):
+    # one short run of a workload through the benchmark's own gates: whitebox
+    # containment, identical results at the same seed, every oracle step seen
+    # by the timed oracle, self times that add up to the call, and metric
+    # names that match BENCHMARK.json
+    argv = ["bench/run.py", "--workload", "walk-ctmdp", "--seed", "1", "--seconds", "0", "--trace", trace]
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stdout
