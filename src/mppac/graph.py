@@ -101,30 +101,37 @@ def mec_decomposition(graph) -> list[MecRecord]:
     bucketed by source state once, so a candidate costs time linear in its
     own states' pairs rather than in the whole graph.
     """
-    post = {(s, a): frozenset(ts) for (s, a), ts in graph.items()}
-    all_states = {s for s, _ in post}
-    for ts in post.values():
+    all_states: set[int] = set()
+    by_source: dict[int, list[tuple[str, frozenset[int]]]] = {}
+    for (s, a), ts in graph.items():
+        ts = frozenset(ts)
+        by_source.setdefault(s, []).append((a, ts))
+        all_states.add(s)
         all_states |= ts
     if not all_states:
         return []
-    by_source: dict[int, list[tuple[str, frozenset[int]]]] = {}
-    for (s, a), ts in post.items():
-        by_source.setdefault(s, []).append((a, ts))
 
     mecs: list[MecRecord] = []
     work = [frozenset(all_states)]
     while work:
         cand = work.pop()
-        inside = {s: [(a, ts) for a, ts in by_source.get(s, ()) if ts <= cand] for s in cand}
-        edges = {s: set().union(*(ts for _, ts in pairs)) for s, pairs in inside.items()}
-        comps = _sccs(cand, edges)
-        if len(comps) == 1:  # cand is one SCC of its own restricted graph
-            # only a single state without a self-loop can keep no action
-            if all(inside.values()):
-                retained = {s: frozenset(a for a, _ in pairs) for s, pairs in inside.items()}
-                mecs.append(MecRecord(states=cand, actions=retained))
+        if len(cand) == 1:
+            # a single state is a MEC exactly when some of its actions loop on
+            # it, and it keeps exactly those actions; no Tarjan pass is needed
+            (s,) = cand
+            loops = [a for a, ts in by_source.get(s, ()) if ts <= cand]
+            if loops:
+                mecs.append(MecRecord(states=cand, actions={s: frozenset(loops)}))
             continue
-        work.extend(comps)  # strictly smaller, so the loop terminates
+        inside = {s: [(a, ts) for a, ts in by_source.get(s, ()) if ts <= cand] for s in cand}
+        comps = _sccs(cand, {s: set().union(*(ts for _, ts in pairs)) for s, pairs in inside.items()})
+        if len(comps) > 1:
+            work.extend(comps)  # strictly smaller, so the loop terminates
+            continue
+        # cand is one SCC of its own restricted graph with more than one
+        # state, so every state keeps an action inside it
+        retained = {s: frozenset(a for a, _ in pairs) for s, pairs in inside.items()}
+        mecs.append(MecRecord(states=cand, actions=retained))
     mecs.sort(key=lambda m: min(m.states))
     return mecs
 

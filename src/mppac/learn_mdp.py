@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -123,18 +124,30 @@ class PartialModel:
         self.act_U: dict[tuple[int, str], float] = {}
         self.mecs: list[MecRecord] = []  # pairwise disjoint; each carries a stay
         self.stay_of: dict[int, MecRecord] = {}
-        # greedy-choice memo: action values only move between rounds, so
-        # per-state argmax lists are cached until invalidate_choices
+        # greedy-choice memo: a state's argmax list reads only its own pairs'
+        # act_L/act_U and the gains of its own stay record
         self._choice_cache: dict[int, tuple] = {}
-        # leaving_action memo per stay record (by id); it also depends on the
-        # observed successors, so it is cleared as well when a pair gains one
+        # leaving_action memo per stay record (by id); it reads its own
+        # states' values and their observed successors, so it is cleared as
+        # well when a pair gains a successor
         self._leave_cache: dict[int, tuple[int, str]] = {}
 
     def invalidate_choices(self) -> None:
-        """Anything that moves act_L/act_U or a stay gain, or replaces a
-        record, must call this."""
+        """Anything that moves act_L/act_U or replaces the held records must
+        call this. Both memos are cleared in place: an episode holds them."""
         self._choice_cache.clear()
         self._leave_cache.clear()
+
+    def forget(self, records) -> None:
+        """Clear the memo entries that read these records: their states'
+        choices and their leaving actions. A record whose gains move, or
+        that is adopted or dropped, must pass through here; a dropped
+        record's id may be reused by a later record."""
+        choices = self._choice_cache
+        for rec in records:
+            for s in rec.states:
+                choices.pop(s, None)
+            self._leave_cache.pop(id(rec), None)
 
     # -- discovery and counting ---------------------------------------
 
@@ -145,11 +158,12 @@ class PartialModel:
         av = tuple(oracle.available_actions(s))
         self.available[s] = av
         for a in av:
-            self.post[(s, a)] = {}
-            self.act_L[(s, a)] = 0.0
-            self.act_U[(s, a)] = 1.0
+            key = (s, a)
+            self.post[key] = {}
+            self.act_L[key] = 0.0
+            self.act_U[key] = 1.0
             if oracle.info_level == GREYBOX:
-                self.succ_total[(s, a)] = oracle.successor_count(s, a)
+                self.succ_total[key] = oracle.successor_count(s, a)
         self.L[s] = 0.0
         self.U[s] = 1.0
         r = oracle.reward(s)
@@ -207,14 +221,15 @@ class PartialModel:
             return tp_inconfidence(d1, self.p_min, self.num_pairs())
         return tp_inconfidence(self.delta_mp, self.p_min, self.num_pairs())
 
-    def grey_equations(self, s: int, a: str) -> bool:
-        """Whether the residual-to-seen-extremes update is used for (s,a)."""
+    def grey_equations(self, pairs) -> np.ndarray:
+        """Per pair (s,a): whether the residual-to-seen-extremes update is
+        used for it."""
         if self.update_style != GREYBOX_UPDATES:
-            return False
-        if self.info_level == GREYBOX:
-            total = self.succ_total.get((s, a))
-            return total is not None and len(self.post[(s, a)]) >= total
-        return True
+            return np.zeros(len(pairs), dtype=bool)
+        if self.info_level != GREYBOX:
+            return np.ones(len(pairs), dtype=bool)
+        total, post = self.succ_total.get, self.post
+        return np.array([(n := total(sa)) is not None and len(post[sa]) >= n for sa in pairs], dtype=bool)
 
     def surcharge(self) -> float:
         """Extra reported inconfidence when greybox equations run on
@@ -241,10 +256,16 @@ class PartialModel:
 
     def adopt_looping_record(self, rec: MecRecord) -> None:
         """Attach stay to a freshly confirmed EC mid-episode, dropping the
-        held records it overlaps."""
+        held records it overlaps. Held records are disjoint, so only the
+        memos of rec and of the dropped records change."""
+        dropped = [m for m in self.mecs if m.states & rec.states]
         self.mecs = [m for m in self.mecs if not (m.states & rec.states)]
         self.mecs.append(rec)
-        self.rebuild_stay_of()
+        for m in dropped:
+            for s in m.states:
+                del self.stay_of[s]
+        self.stay_of.update(dict.fromkeys(rec.states, rec))
+        self.forget([*dropped, rec])
 
 
 # ---------------------------------------------------------------------------
@@ -254,55 +275,56 @@ class PartialModel:
 class _Rows:
     """Interval Bellman rows packed column-major: the one row kernel.
 
-    rows holds one (count, ((t, frequency), ...), grey) entry per pair, with
-    successors in ascending order and the pairs of each state contiguous;
-    per_state gives how many rows each state owns. A row with count 0 is
-    unsampled. The lower estimate of a successor is its frequency minus the
-    Hoeffding width at the row's count, floored at 0; the residual mass goes
-    to the worst/best successor of a grey row and to 0/1 otherwise. slot
-    maps every successor to its value slot. Each row is padded to the widest
-    row with zero-weight copies of its first successor, so the
-    column-by-column sum adds the same terms in the same order as a per-row
-    loop, and the padding adds exact zeros.
+    Row r has count counts[r] and lens[r] entries; slots and freqs list the
+    entries of every row in turn, each row's successors (as value slots) in
+    ascending order, and the rows of each state are contiguous; per_state
+    gives how many rows each state owns. A row with count 0 is unsampled.
+    The lower estimate of a successor is its frequency minus the Hoeffding
+    width at the row's count, floored at 0; the residual mass goes to the
+    worst/best successor of a grey row and to 0/1 otherwise. Each row is
+    padded to the widest row with zero-weight copies of its first successor,
+    so the column-by-column sums add the same terms in the same order as a
+    per-row loop, and the padding adds exact zeros.
     """
 
-    def __init__(self, rows, per_state, slot: dict, delta_tp: float):
-        widths: dict[int, float] = {}
-        packed = []
-        self.resid = np.zeros(len(rows))
-        self.grey = np.zeros(len(rows), dtype=bool)
-        self.unsampled = np.zeros(len(rows), dtype=bool)
-        for r, (n, freqs, grey) in enumerate(rows):
-            if n == 0:
-                self.unsampled[r] = True
-                packed.append(((0, 0.0),))  # any slot: the row's values are (0, 1)
-                continue
-            w = widths.get(n)
-            if w is None:
-                w = widths[n] = tp_width(n, delta_tp)
-            ths = tuple((slot[t], max(0.0, f - w)) for t, f in freqs)
-            self.resid[r] = max(0.0, 1.0 - sum(th for _, th in ths))
-            self.grey[r] = grey
-            packed.append(ths)
-        width = max((len(ths) for ths in packed), default=1)
-        # column-major: succ[k] and theta[k] hold the k-th entry of every row
-        self.succ = np.array(
-            [[ths[min(k, len(ths) - 1)][0] for ths in packed] for k in range(width)], dtype=np.intp
-        )
-        self.theta = np.array([[ths[k][1] if k < len(ths) else 0.0 for ths in packed] for k in range(width)])
+    def __init__(self, counts, lens, slots, freqs, grey, per_state, delta_tp: float):
+        widths = {n: tp_width(n, delta_tp) for n in set(counts)}
+        rows = len(counts)
+        shape = (max(lens, default=0) or 1, rows)
+        lens = np.array(lens, dtype=np.intp)
+        row_of = np.repeat(np.arange(rows), lens)
+        starts = lens.cumsum() - lens
+        col = np.arange(len(row_of)) - starts[row_of]
+        slots = np.asarray(slots, dtype=np.intp)
+        lower = np.maximum(0.0, np.asarray(freqs, dtype=float) - np.array([widths[n] for n in counts])[row_of])
+        # column-major: succ[k] and theta[k] hold the k-th entry of every row;
+        # a row without entries points at slot 0 with weight 0
+        self.succ = np.zeros(shape, dtype=np.intp)
+        self.succ[:, row_of] = slots[starts[row_of]]
+        self.succ[col, row_of] = slots
+        self.theta = np.zeros(shape)
+        self.theta[col, row_of] = lower
+        mass = np.zeros(rows)
+        for theta in self.theta:
+            mass += theta
+        self.unsampled = np.array(counts) == 0
+        self.resid = np.where(self.unsampled, 0.0, np.maximum(0.0, 1.0 - mass))
+        self.grey = grey & ~self.unsampled
         # every state owns at least one row, so no segment is empty
         per_state = np.array(per_state, dtype=np.intp)
-        self.heads = np.cumsum(per_state) - per_state
+        self.heads = per_state.cumsum() - per_state
 
     def bounds(self, L: np.ndarray, U: np.ndarray):
         """Lower and upper value of every row at state values L and U."""
         low = np.zeros(len(self.resid))
         up = np.zeros(len(self.resid))
-        for succ, theta in zip(self.succ, self.theta):
-            low += theta * L[succ]
-            up += theta * U[succ]
-        low = np.where(self.grey, low + self.resid * L[self.succ].min(axis=0), low)
-        up = np.where(self.grey, up + self.resid * U[self.succ].max(axis=0), up + self.resid)
+        succ_l = L[self.succ]
+        succ_u = U[self.succ]
+        for theta, l, u in zip(self.theta, succ_l, succ_u):
+            low += theta * l
+            up += theta * u
+        low = np.where(self.grey, low + self.resid * succ_l.min(axis=0), low)
+        up = np.where(self.grey, up + self.resid * succ_u.max(axis=0), up + self.resid)
         low[self.unsampled] = 0.0
         up[self.unsampled] = 1.0
         return low, up
@@ -325,21 +347,34 @@ class _Estimates(_Rows):
     def __init__(self, partial: PartialModel):
         self.states = list(partial.available)
         self.pairs = [(s, a) for s in self.states for a in partial.available[s]]
+        succs = [partial.post[sa] for sa in self.pairs]
+        lens = list(map(len, succs))
+        counts = list(map(sum, map(dict.values, succs)))
+        row_of = np.repeat(np.arange(len(succs)), lens)
+        succ = np.fromiter(chain.from_iterable(succs), dtype=np.intp, count=len(row_of))
+        seen = np.fromiter(chain.from_iterable(map(dict.values, succs)), dtype=np.int64, count=len(row_of))
+        order = np.lexsort((succ, row_of))  # by row, then successor
         slot = {s: i for i, s in enumerate(self.states)}
-        rows = [(*partial.row(s, a), partial.grey_equations(s, a)) for s, a in self.pairs]
-        per_state = [len(partial.available[s]) for s in self.states]
-        super().__init__(rows, per_state, slot, partial.current_delta_tp())
+        super().__init__(
+            counts,
+            lens,
+            [slot[t] for t in succ[order].tolist()],
+            seen[order] / np.array(counts)[row_of],
+            partial.grey_equations(self.pairs),
+            [len(partial.available[s]) for s in self.states],
+            partial.current_delta_tp(),
+        )
         self.stay_l = np.zeros(len(self.states))
         self.stay_u = np.zeros(len(self.states))
-        for i, s in enumerate(self.states):
-            rec = partial.stay_of.get(s)
-            if rec is not None:
-                self.stay_l[i] = rec.gain_lower
-                self.stay_u[i] = rec.gain_upper
+        for s, rec in partial.stay_of.items():
+            self.stay_l[slot[s]] = rec.gain_lower
+            self.stay_u[slot[s]] = rec.gain_upper
 
         # deflation: each stay MEC's states, its stay gain and the rows of
         # its leaving pairs (post is frozen, so these are too)
-        row_of = {sa: r for r, sa in enumerate(self.pairs)}
+        def row_of(s, a):
+            return self.heads[slot[s]] + partial.available[s].index(a)
+
         clamp_slots, clamp_mec, exits, exit_heads, exit_mecs, gains = [], [], [], [], [], []
         for M in partial.mecs:
             k = len(gains)
@@ -347,7 +382,7 @@ class _Estimates(_Rows):
             for s in M.states:
                 clamp_slots.append(slot[s])
                 clamp_mec.append(k)
-            out = [row_of[sa] for sa in leaving_pairs(M, partial.available, partial.post)]
+            out = [row_of(*sa) for sa in leaving_pairs(M, partial.available, partial.post)]
             if out:
                 exit_heads.append(len(exits))
                 exit_mecs.append(k)
@@ -440,17 +475,13 @@ def _choose_action(s: int, partial: PartialModel, rng):
     cache = partial._choice_cache
     labels = cache.get(s)
     if labels is None:
-        cands = []
-        for a in partial.available[s]:
-            cands.append((a, partial.act_U[(s, a)], partial.act_L[(s, a)]))
+        # (upper, lower) compares by the upper value, then the lower
+        cands = [((partial.act_U[(s, a)], partial.act_L[(s, a)]), a) for a in partial.available[s]]
         rec = partial.stay_of.get(s)
         if rec is not None:
-            cands.append((STAY, rec.gain_upper, rec.gain_lower))
-        best_u = max(c[1] for c in cands)
-        cands = [c for c in cands if c[1] == best_u]
-        best_l = max(c[2] for c in cands)
-        labels = tuple(sorted(c[0] for c in cands if c[2] == best_l))
-        cache[s] = labels
+            cands.append(((rec.gain_upper, rec.gain_lower), STAY))
+        best = max(v for v, _ in cands)
+        labels = cache[s] = tuple(sorted(a for v, a in cands if v == best))
     if len(labels) == 1:
         return labels[0]
     i = min(int(rng.random() * len(labels)), len(labels) - 1)
@@ -634,10 +665,15 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float)
     beta = max(beta, 1e-9)
     states = sorted(M.states)
     pairs = [(s, a) for s in states for a in sorted(M.actions[s])]
+    slot = {s: i for i, s in enumerate(states)}
+    entries = [rows[sa] for sa in pairs]
     packed = _Rows(
-        [(*rows[sa], True) for sa in pairs],
+        [n for n, _ in entries],
+        [len(freqs) for _, freqs in entries],
+        [slot[t] for _, freqs in entries for t, _ in freqs],
+        [f for _, freqs in entries for _, f in freqs],
+        True,
         [len(M.actions[s]) for s in states],
-        {s: i for i, s in enumerate(states)},
         delta_tp,
     )
     r = np.array([rewards[s] for s in states], dtype=float)
@@ -716,7 +752,7 @@ def update_mec_value(
 
     def refit():
         _tighten(M, *bound(M, partial, config, (M.gain_upper - M.gain_lower) / 2.0))
-        partial.invalidate_choices()
+        partial.forget([M])
 
     if any(t not in M.states for s in M.states for a in M.actions[s] for t in partial.post[(s, a)]):
         drop_stale_record(M, partial)

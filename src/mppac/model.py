@@ -17,7 +17,7 @@ BLACKBOX = "blackbox"
 GREYBOX = "greybox"
 
 ROW_SUM_TOL = 1e-9  # decimal model files must round-trip
-UNIFORM_BLOCK = 1024  # oracle uniforms drawn per numpy call
+UNIFORM_BLOCK = 1024  # oracle and learner uniforms drawn per numpy call
 
 
 class ModelError(ValueError):
@@ -260,9 +260,25 @@ def oracle_rng(seed: int) -> np.random.Generator:
     return _philox(seed, 0)
 
 
-def learner_rng(seed: int) -> np.random.Generator:
+def _uniform_blocks(rng: np.random.Generator):
+    """Iterator over the uniforms of rng: a Generator gives the same numbers
+    in blocks of UNIFORM_BLOCK as in scalar random() calls, and one numpy
+    call per block costs far less than one per draw."""
+    return chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
+
+
+class UniformStream:
+    """Uniforms on [0, 1) read one per random() call, as from a Generator."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        self.random = _uniform_blocks(rng).__next__
+
+
+def learner_rng(seed: int) -> UniformStream:
     """Independent stream for learner-side tie-break draws."""
-    return _philox(seed, 1)
+    return UniformStream(_philox(seed, 1))
 
 
 class SampleOracle:
@@ -281,11 +297,7 @@ class SampleOracle:
         self.kind = model.kind
         self.init = model.init
         self.p_min = model.p_min
-        rng = oracle_rng(int(rng_seed))
-        # A Generator gives the same uniforms in blocks as in scalar calls,
-        # and one numpy call per block costs far less than one per step.
-        blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
-        self._uniforms = chain.from_iterable(blocks)
+        self._uniforms = _uniform_blocks(oracle_rng(int(rng_seed)))
         self._is_mdp = model.kind == MDP
         # (s, a) -> (one (t, None) step per successor t, which an MDP step
         # returns as it is; cumulative probabilities; total rate), built on

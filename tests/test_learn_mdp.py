@@ -52,7 +52,7 @@ from mppac.stats import tp_width
 
 from .conftest import frozen_partial
 from .reference import bellman_blackbox, bellman_greybox, deflate, global_update, record_step
-from .test_golden_traces import random5_x3
+from .test_golden_traces import layered_model, random5_x3
 
 # ---------------------------------------------------------------------------
 # stay distributions
@@ -281,12 +281,12 @@ def test_array_sweep_equals_the_bellman_rows_exactly(case):
     U = np.array([partial.U[s] for s in est.states])
     pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
     for r, (s, a) in enumerate(est.pairs):
-        bellman = bellman_greybox if partial.grey_equations(s, a) else bellman_blackbox
+        bellman = bellman_greybox if partial.grey_equations([(s, a)])[0] else bellman_blackbox
         assert (pair_l[r], pair_u[r]) == bellman(s, a, partial, delta_tp)
     for i, s in enumerate(est.states):
         best_l = best_u = 0.0
         for a in partial.available[s]:
-            pl, pu = (bellman_greybox if partial.grey_equations(s, a) else bellman_blackbox)(
+            pl, pu = (bellman_greybox if partial.grey_equations([(s, a)])[0] else bellman_blackbox)(
                 s, a, partial, delta_tp
             )
             best_l, best_u = max(best_l, pl), max(best_u, pu)
@@ -462,6 +462,91 @@ def test_looping_records_are_new_and_held_records_partition_stay_of(models_dir, 
     learn = on_demand_bvi_ctmdp if model.kind == CTMDP else on_demand_bvi
     learn(oracle, LearnerConfig(seed=1, epsilon_mp=0.1, episodes_per_round=500, timeout_s=60.0))
     assert adopted and reconciled
+
+
+def _memos_match_a_fresh_memo(partial):
+    # every cached choice and leaving action equals what an empty memo gives
+    memo, partial._choice_cache = partial._choice_cache, {}
+    try:
+        for s, labels in memo.items():
+            _choose_action(s, partial, _FixedDraw(0.0))
+            assert partial._choice_cache[s] == labels, s
+    finally:
+        partial._choice_cache = memo
+    # a dropped record's id may be reused, so no entry may outlive its record
+    held = {id(m): m for m in partial.mecs}
+    assert partial._leave_cache.keys() <= held.keys()
+    memo, partial._leave_cache = partial._leave_cache, {}
+    try:
+        for key, leave in memo.items():
+            assert partial.leaving_action(held[key]) == leave, sorted(held[key].states)
+    finally:
+        partial._leave_cache = memo
+
+
+@pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "layered"])
+def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
+    # adopting a looping record and refitting a record clear only the memo
+    # entries of the records they adopt, refit or drop; a VI phase clears all
+    import mppac.learn_mdp as learn_mdp
+
+    calls = {"adopt": 0, "refine": 0, "vi": 0}
+    adopt = PartialModel.adopt_looping_record
+    refine = learn_mdp.update_mec_value
+    vi_phase = learn_mdp._vi_phase
+
+    def checked_adopt(partial, rec):
+        adopt(partial, rec)
+        calls["adopt"] += 1
+        _memos_match_a_fresh_memo(partial)
+
+    def checked_refine(M, oracle, partial, *args):
+        out = refine(M, oracle, partial, *args)
+        calls["refine"] += 1
+        _memos_match_a_fresh_memo(partial)
+        return out
+
+    def checked_vi_phase(partial):
+        vi_phase(partial)
+        calls["vi"] += 1
+        _memos_match_a_fresh_memo(partial)
+
+    monkeypatch.setattr(PartialModel, "adopt_looping_record", checked_adopt)
+    monkeypatch.setattr(learn_mdp, "update_mec_value", checked_refine)
+    monkeypatch.setattr(learn_mdp, "_vi_phase", checked_vi_phase)
+    if model_file == "layered":  # one-state sinks under a small layered fragment
+        model, info, style = layered_model(layers=3, width=12), GREYBOX, GREYBOX_UPDATES
+    else:
+        model, info, style = load_model(models_dir / model_file), BLACKBOX, BLACKBOX_UPDATES
+    config = LearnerConfig(seed=1, epsilon_mp=0.1, episodes_per_round=500, update_style=style, timeout_s=60.0)
+    on_demand_bvi(SampleOracle(model, info, rng_seed=1), config)
+    assert all(calls.values()), calls
+
+
+def test_adopting_a_record_clears_the_memos_of_the_records_it_drops():
+    # the runs above never drop a held record, so build the case: a held
+    # cycle 1-4 overlaps the adopted cycle 1-2 at state 1, and state 4 lies
+    # outside the adopted record; the record on state 3 is left alone
+    partial = frozen_partial(
+        {(0, "a", 1): 5, (1, "loop", 4): 5, (4, "ret", 1): 5, (1, "go", 2): 5, (2, "back", 1): 5, (3, "x", 3): 5},
+        rewards={0: 0.0, 1: 0.5, 2: 1.0, 3: 0.25, 4: 0.0},
+    )
+    # a stay with lower value 1 wins the choice wherever it is attached
+    dropped = MecRecord(frozenset({1, 4}), {1: frozenset({"loop"}), 4: frozenset({"ret"})}, 1.0, 1.0)
+    other = MecRecord(frozenset({3}), {3: frozenset({"x"})}, 1.0, 1.0)
+    partial.mecs = [dropped, other]
+    partial.rebuild_stay_of()
+    for s in partial.available:
+        _choose_action(s, partial, _FixedDraw(0.0))
+    assert partial._choice_cache[4] == (STAY,)
+    partial.leaving_action(dropped)
+    partial.leaving_action(other)
+
+    adopted = MecRecord(frozenset({1, 2}), {1: frozenset({"go"}), 2: frozenset({"back"})})
+    partial.adopt_looping_record(adopted)
+    assert partial.mecs == [other, adopted]
+    _memos_match_a_fresh_memo(partial)
+    assert 3 in partial._choice_cache and id(other) in partial._leave_cache
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,16 @@ def test_steps_follow_the_scalar_oracle_stream(random5, cycle_rates):
         assert oracle.sample_step(0, "a") == (1, -math.log1p(-u.random()) / 2.0)
 
 
+def test_learner_draws_follow_the_scalar_learner_stream():
+    # the learner stream draws its uniforms in blocks as well; past a block
+    # boundary, each random() must still be the next scalar draw of its
+    # Philox key (seed, 1)
+    n = 2 * UNIFORM_BLOCK + 3
+    scalar = np.random.Generator(np.random.Philox(np.random.SeedSequence([4, 1])))
+    rng = learner_rng(4)
+    assert [rng.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+
 def test_learner_and_oracle_streams_are_independent():
     a = oracle_rng(5)
     b = learner_rng(5)

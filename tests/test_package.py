@@ -113,12 +113,13 @@ def test_benchmark_bindings_resolve(monkeypatch):
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-def test_benchmark_run_is_correct(trace):
+@pytest.mark.parametrize("workload", ["walk-ctmdp", "ladder-greybox"])
+def test_benchmark_run_is_correct(workload, trace):
     # one short run of a workload through the benchmark's own gates: whitebox
     # containment, identical results at the same seed, every oracle step seen
     # by the timed oracle, self times that add up to the call, and metric
     # names that match BENCHMARK.json
-    argv = ["bench/run.py", "--workload", "walk-ctmdp", "--seed", "1", "--seconds", "0", "--trace", trace]
+    argv = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", trace]
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stdout
