@@ -350,16 +350,16 @@ class _Estimates(_Rows):
         succs = [partial.post[sa] for sa in self.pairs]
         lens = list(map(len, succs))
         counts = list(map(sum, map(dict.values, succs)))
-        row_of = np.repeat(np.arange(len(succs)), lens)
-        succ = np.fromiter(chain.from_iterable(succs), dtype=np.intp, count=len(row_of))
-        seen = np.fromiter(chain.from_iterable(map(dict.values, succs)), dtype=np.int64, count=len(row_of))
-        order = np.lexsort((succ, row_of))  # by row, then successor
+        entry_row = np.repeat(np.arange(len(succs)), lens)
+        succ = np.fromiter(chain.from_iterable(succs), dtype=np.intp, count=len(entry_row))
+        seen = np.fromiter(chain.from_iterable(map(dict.values, succs)), dtype=np.int64, count=len(entry_row))
+        order = np.lexsort((succ, entry_row))  # by row, then successor
         slot = {s: i for i, s in enumerate(self.states)}
         super().__init__(
             counts,
             lens,
             [slot[t] for t in succ[order].tolist()],
-            seen[order] / np.array(counts)[row_of],
+            seen[order] / np.array(counts)[entry_row],
             partial.grey_equations(self.pairs),
             [len(partial.available[s]) for s in self.states],
             partial.current_delta_tp(),
@@ -470,8 +470,8 @@ def _choose_action(s: int, partial: PartialModel, rng):
     """Uniformly among the actions maximizing the upper value, narrowed by
     the lower value; the draw runs over a label-sorted list so equal seeds
     give equal choices. The label list per state is memoized until the
-    underlying values move (invalidate_choices), which spares recomputing
-    the argmax on every step of every episode in a round."""
+    underlying values move (invalidate_choices, forget), which spares
+    recomputing the argmax on every step of every episode in a round."""
     cache = partial._choice_cache
     labels = cache.get(s)
     if labels is None:
