@@ -23,7 +23,6 @@ from .graph import (
 )
 from .learn_ctmdp import (
     find_mec_mp_bounds_exact,
-    find_mec_mp_bounds_heuristic,
     on_demand_bvi_ctmdp,
     uniformize,
     update_mec_value_ctmdp,

@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--csv", help="trace output path (per-seed suffix for several seeds)")
     p_run.add_argument("--svg", help="convergence plot path")
     p_run.add_argument("--anytime", action="store_true", help="ignore the termination test")
-    p_run.add_argument("--exact-mec-bounds", action="store_true", help="CTMDP rate sweep")
     p_run.add_argument("--absolute", action="store_true", help="absolute precision mode")
 
     p_lint = sub.add_parser("lint", help="parse and validate a model file")
@@ -281,7 +280,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         precision_mode="absolute" if args.absolute else "relative",
         timeout_s=args.timeout_s,
         anytime=args.anytime,
-        exact_mec_bounds=args.exact_mec_bounds,
     )
     return RunConfig(
         model_path=args.model,

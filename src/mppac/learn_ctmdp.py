@@ -4,8 +4,8 @@ Same on-demand loop as the MDP learner — embedded transition frequencies
 drive everything outside MECs, where rates don't matter — plus rate
 estimation from dwell times. Inside a sure MEC, gain bounds come from
 uniformized interval value iteration under adversarial rate assignments
-within the certified relative error: either an exact threshold sweep over
-reward-sorted states or a three-call heuristic keyed on the plain estimate.
+within the certified relative error, by a sweep over every threshold
+assignment of the reward-sorted states.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def _pair_rates(M: MecRecord, partial: PartialModel) -> dict:
 
 
 def _threshold_rates(M: MecRecord, partial: PartialModel, alpha_r: float):
-    """The pair estimates λ̂, one uniformization rate C = max λ̂·(1+α) that
-    covers every assignment (and so the true rates, with the stated
+    """One uniformization rate C = max λ̂·(1+α) over the pair estimates λ̂
+    that covers every assignment (and so the true rates, with the stated
     confidence), and the threshold assignment at (j, direction): over states
     sorted by descending reward, the first j run slow, λ̂(1−α), and the rest
     fast, λ̂(1+α), to push the gain up ("max"); mirrored for "min"."""
@@ -120,7 +120,7 @@ def _threshold_rates(M: MecRecord, partial: PartialModel, alpha_r: float):
             (s, a): lam[(s, a)] * (first if i < j else rest) for i, s in enumerate(order) for a in M.actions[s]
         }
 
-    return lam, max(lam.values()) * (1.0 + alpha_r), rates
+    return max(lam.values()) * (1.0 + alpha_r), rates
 
 
 def find_mec_mp_bounds_exact(
@@ -130,47 +130,20 @@ def find_mec_mp_bounds_exact(
     beta: float,
     delta_tp: float,
 ):
-    """Gain bounds over all rates within relative error alpha_r: sweep the
-    threshold assignments over reward-sorted states in both directions,
-    keeping the extreme VI bound; each sweep stops once the value turns
-    back (the optimum over assignments has threshold form)."""
-    _, C, rates = _threshold_rates(M, partial, alpha_r)
-
-    def sweep(direction: str, side: int) -> float:
-        best = None
-        for j in range(len(M.states) + 1):
-            v = update_mec_value_ctmdp(M, rates(j, direction), partial, beta, delta_tp, C)[side]
-            if best is None:
-                best = v
-            elif v > best if side == 1 else v < best:
-                best = v
-            elif v != best:
-                break  # past the threshold optimum; later j only get worse
-        return best
-
-    v_u = sweep("max", 1)
-    v_l = sweep("min", 0)
+    """Gain bounds over all rates within relative error alpha_r: the extreme
+    VI bound over the threshold assignments j = 0..|M| in each direction.
+    These hold the box's extremes: the optimal gain at rates λ is the root g
+    of the largest Σ π_s (r_s − g)/λ_s over policies (Dinkelbach, Management
+    Science 1967), and at every g, running the states above g slow and the
+    rest fast maximizes each term for all policies at once (mirrored: min)."""
+    C, rates = _threshold_rates(M, partial, alpha_r)
+    js = range(len(M.states) + 1)
+    v_u = max(update_mec_value_ctmdp(M, rates(j, "max"), partial, beta, delta_tp, C)[1] for j in js)
+    v_l = min(update_mec_value_ctmdp(M, rates(j, "min"), partial, beta, delta_tp, C)[0] for j in js)
     return min(v_l, v_u), max(v_l, v_u)
 
 
-def find_mec_mp_bounds_heuristic(
-    M: MecRecord,
-    partial: PartialModel,
-    alpha_r: float,
-    beta: float,
-    delta_tp: float,
-):
-    """Three-call approximation: estimate the gain v̂ at the plain rates,
-    then take the sweep's threshold assignments at the states earning at
-    least v̂, a prefix of the reward-sorted states: slowing them down
-    pushes the bound up, speeding them up pushes it down."""
-    lam, C, rates = _threshold_rates(M, partial, alpha_r)
-    l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C)
-    v_hat = (l0 + u0) / 2.0
-    j = sum(partial.scaled_reward(s) >= v_hat for s in M.states)
-    v_l = update_mec_value_ctmdp(M, rates(j, "min"), partial, beta, delta_tp, C)[0]
-    v_u = update_mec_value_ctmdp(M, rates(j, "max"), partial, beta, delta_tp, C)[1]
-    return min(v_l, v_u), max(v_l, v_u)
+find_mec_mp_bounds_heuristic = find_mec_mp_bounds_exact  # bound here for bench/tracer.py
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +158,7 @@ def _bound_mec_gain_ctmdp(M, partial, config, beta):
     delta_tp = partial.current_delta_tp()
     least = min(sum(partial.post[(s, a)].values()) for s in M.states for a in M.actions[s])
     alpha_r = achieved_rate_alpha(least, delta_tp)
-    bounds = find_mec_mp_bounds_exact if config.exact_mec_bounds else find_mec_mp_bounds_heuristic
-    return bounds(M, partial, alpha_r, beta, delta_tp)
+    return find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp)
 
 
 def _refine_mec_ctmdp(M, oracle, partial, config, rng, start, deadline):

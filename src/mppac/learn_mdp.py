@@ -66,7 +66,6 @@ class LearnerConfig:
     seed: int = 0
     update_style: str = BLACKBOX_UPDATES  # "blackbox" | "greybox-equations"
     anytime: bool = False  # drop the termination test, run to timeout
-    exact_mec_bounds: bool = False  # CTMDP only: full sweep instead of 3 VI calls
 
     def __post_init__(self):
         if self.update_style not in (BLACKBOX_UPDATES, GREYBOX_UPDATES):

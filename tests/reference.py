@@ -8,8 +8,8 @@ and written to the partial model's dicts. deflate clamps one MEC at a time,
 ranking its exits with best_leaving_action, where the value-iteration phase
 clamps every MEC at once. record_step counts one sampled step, as the
 episode and the MEC walk do in their own loops. ctmdp_mec_gain is the gain
-of a chain with known stationary frequencies and rates. heuristic_mec_bounds is the three-call CTMDP gain
-heuristic with its two rate assignments built pair by pair.
+of a chain with known stationary frequencies and rates, and
+stationary_distribution gives those frequencies for an irreducible chain.
 chernoff_log_term and chernoff_minimizers give the dwell-time Chernoff
 bound's log terms and their closed-form minimizers. model_graph is the
 adjacency view of a full model, embedded_mdp the jump chain of a CTMDP,
@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from mppac.graph import ClosedMec, MecRecord, _sccs, best_leaving_action
-from mppac.learn_ctmdp import update_mec_value_ctmdp
 from mppac.learn_mdp import PartialModel, _Estimates, _mec_action_values, _movement, _sweep_once
 from mppac.model import CTMDP, MDP, ExplicitModel, ModelError
 from mppac.stats import tp_width
@@ -134,32 +133,6 @@ def ctmdp_mec_gain(pi, r, lam) -> float:
     return num / den
 
 
-def heuristic_mec_bounds(M: MecRecord, partial: PartialModel, alpha_r: float, beta: float, delta_tp: float):
-    """Gain bounds at the plain rate estimates count / dwell sum, then at
-    two assignments built pair by pair: a "fast" one that speeds up the
-    pairs of states earning at least the plain gain estimate and slows down
-    the rest, for the lower bound, and the mirrored "slow" one for the upper
-    bound. All three calls uniformize at max rate * (1 + alpha_r)."""
-    lam = {
-        (s, a): sum(partial.post[(s, a)].values()) / partial.dwell_sum[(s, a)] for s in M.states for a in M.actions[s]
-    }
-    C = max(lam.values()) * (1.0 + alpha_r)
-    l0, u0 = update_mec_value_ctmdp(M, lam, partial, beta, delta_tp, C)
-    v_hat = (l0 + u0) / 2.0
-    fast = {}
-    slow = {}
-    for (s, a), rate in lam.items():
-        if partial.scaled_reward(s) >= v_hat:
-            fast[(s, a)] = rate * (1.0 + alpha_r)
-            slow[(s, a)] = rate * (1.0 - alpha_r)
-        else:
-            fast[(s, a)] = rate * (1.0 - alpha_r)
-            slow[(s, a)] = rate * (1.0 + alpha_r)
-    v_l = update_mec_value_ctmdp(M, fast, partial, beta, delta_tp, C)[0]
-    v_u = update_mec_value_ctmdp(M, slow, partial, beta, delta_tp, C)[1]
-    return min(v_l, v_u), max(v_l, v_u)
-
-
 def chernoff_log_term(n: int, u: float, tilt: float) -> float:
     """Log of (1/(1+u))^n e^{u n tilt}, straight from the bound's definition;
     the underestimation term has tilt 1+alpha on u in (-1, 0), the
@@ -197,6 +170,16 @@ def embedded_mdp(m: ExplicitModel) -> ExplicitModel:
     )
 
 
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """The stationary distribution of an irreducible chain with matrix P."""
+    k = len(P)
+    A = P.T - np.eye(k)
+    A[-1, :] = 1.0  # normalization replaces one redundant balance row
+    b = np.zeros(k)
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
+
+
 def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
     """Mean payoff of a Markov chain from init: stationary gain per
     recurrent class, weighted by absorption probabilities."""
@@ -207,13 +190,7 @@ def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
 
     gains = []
     for comp in bottoms:
-        k = len(comp)
-        A = P[np.ix_(comp, comp)].T - np.eye(k)
-        A[-1, :] = 1.0  # normalization replaces one redundant balance row
-        b = np.zeros(k)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        gains.append(float(pi @ r[comp]))
+        gains.append(float(stationary_distribution(P[np.ix_(comp, comp)]) @ r[comp]))
 
     for comp, g in zip(bottoms, gains):
         if init in comp:

@@ -25,7 +25,6 @@ from mppac import (
     SampleOracle,
     exact_mean_payoff,
     find_mec_mp_bounds_exact,
-    find_mec_mp_bounds_heuristic,
     greybox_miss_probability,
     load_model,
     mec_decomposition,
@@ -405,12 +404,6 @@ def test_rate_sweep_contains_the_corner_extrema():
         ]
         assert low <= min(corners) + beta + 1e-9
         assert up >= max(corners) - beta - 1e-9
-
-        heur_low, heur_up = find_mec_mp_bounds_heuristic(
-            M, partial, alpha_r, beta, delta_tp=1.0
-        )
-        assert heur_low >= low - 2 * beta
-        assert heur_up <= up + 2 * beta
 
 
 # ---------------------------------------------------------------------------

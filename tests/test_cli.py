@@ -82,7 +82,6 @@ def test_config_defaults():
     assert config.learner.delta_mp == 0.1
     assert config.learner.precision_mode == "relative"
     assert not config.learner.anytime
-    assert not config.learner.exact_mec_bounds
 
 
 def test_config_flags_map_to_learner_fields():
@@ -92,7 +91,6 @@ def test_config_flags_map_to_learner_fields():
             "--delta", "0.02",
             "--timeout-s", "9.5",
             "--anytime",
-            "--exact-mec-bounds",
             "--absolute",
         )
     )
@@ -100,7 +98,6 @@ def test_config_flags_map_to_learner_fields():
     assert config.learner.delta_mp == 0.02
     assert config.learner.timeout_s == 9.5
     assert config.learner.anytime
-    assert config.learner.exact_mec_bounds
     assert config.learner.precision_mode == "absolute"
 
 

@@ -52,12 +52,10 @@ CASES = {
     "two_mec-greybox-s0": ("two_mec.mdp", "greybox", 0, {}),
     "cycle_entry-blackbox-s0": ("cycle_entry.mdp", "blackbox", 0, {"epsilon_mp": 0.05}),
     "cycle_rates-blackbox-s0": ("cycle_rates.ctmdp", "blackbox", 0, {"epsilon_mp": 0.05}),
-    "cycle_rates-exact-greybox-s0": (
-        "cycle_rates.ctmdp", "greybox", 0, {"epsilon_mp": 0.05, "exact_mec_bounds": True}
-    ),
+    "cycle_rates-greybox-s0": ("cycle_rates.ctmdp", "greybox", 0, {"epsilon_mp": 0.05}),
     "layered-greybox-s0": (LAYERED, "greybox", 0, {"epsilon_mp": 0.05, "episodes_per_round": 200}),
     "tied_ring-blackbox-s0": (TIED_RING, "blackbox", 0, {"epsilon_mp": 0.05}),
-    "tied_ring-exact-greybox-s0": (TIED_RING, "greybox", 0, {"epsilon_mp": 0.05, "exact_mec_bounds": True}),
+    "tied_ring-greybox-s0": (TIED_RING, "greybox", 0, {"epsilon_mp": 0.05}),
     "random5_x3-blackbox-s0": (RANDOM5_X3, "blackbox", 0, {"epsilon_mp": 0.15, "episodes_per_round": 1000}),
 }
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from mppac import (
     PartialModel,
     SampleOracle,
     find_mec_mp_bounds_exact,
-    find_mec_mp_bounds_heuristic,
     learner_rng,
     on_demand_bvi,
     on_demand_bvi_ctmdp,
@@ -28,10 +28,10 @@ from mppac import (
     uniformize,
     update_mec_value_ctmdp,
 )
-from mppac.learn_ctmdp import _threshold_rates, achieved_rate_alpha
+from mppac.learn_ctmdp import _bound_mec_gain_ctmdp, _threshold_rates, achieved_rate_alpha
 
 from .conftest import frozen_partial
-from .reference import ctmdp_mec_gain, heuristic_mec_bounds
+from .reference import ctmdp_mec_gain, stationary_distribution
 
 # ---------------------------------------------------------------------------
 # rate bookkeeping
@@ -107,8 +107,8 @@ def test_threshold_rates_shape():
         ctmdp=True,
     )
     M = MecRecord(states=frozenset({0, 1, 2}), actions={s: frozenset({"a"}) for s in range(3)})
-    lam, C, rates = _threshold_rates(M, partial, 0.2)
-    assert lam == {(0, "a"): 2.0, (1, "a"): 1.0, (2, "a"): 4.0}
+    C, rates = _threshold_rates(M, partial, 0.2)
+    lam = {(0, "a"): 2.0, (1, "a"): 1.0, (2, "a"): 4.0}
     assert C == pytest.approx(4.8)
 
     def factors(j, direction):
@@ -182,17 +182,6 @@ def test_exact_bounds_bracket_the_true_gain():
     assert gu - gl < 0.1
 
 
-def test_heuristic_bounds_sit_inside_the_exact_sweep():
-    partial = _cycle_rates_partial()
-    beta = 1e-5
-    delta_tp = partial.current_delta_tp()
-    el, eu = find_mec_mp_bounds_exact(_cycle_mec(), partial, 0.05, beta, delta_tp)
-    hl, hu = find_mec_mp_bounds_heuristic(_cycle_mec(), partial, 0.05, beta, delta_tp)
-    assert hl >= el - 2 * beta
-    assert hu <= eu + 2 * beta
-    assert hl <= 1 / 3 <= hu
-
-
 # ROADMAP item 5's worked case: a 3-cycle with rewards (1, 0.5, 0) and rate
 # estimates (1, 0.5, 1) at alpha 0.5. Every corner of the rate box keeps the
 # cycle's embedded frequencies at 1/3, so its gains span [1/3, 2/3] in either
@@ -227,23 +216,22 @@ def test_exact_bounds_contain_the_rate_box_corners(succ):
 
 
 @_WORKED_CYCLES
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 5: the heuristic thresholds at the estimated gain 0.5, which state 1's reward "
-    "ties, and misses 1/3 on 0-1-2-0 and 2/3 on 0-2-1-0",
-)
-def test_heuristic_bounds_contain_the_rate_box_corners(succ):
-    case, (g_min, g_max) = _worked_case(succ)
-    low, up = find_mec_mp_bounds_heuristic(*case)
-    assert low <= g_min and g_max <= up
+def test_learner_bounds_mec_gains_by_the_full_sweep(succ):
+    # the refit bounder at the default config runs the sweep at the rate
+    # error certified by the least-sampled pair's 1000 dwell samples
+    (M, partial, _, beta, _), _ = _worked_case(succ)
+    delta_tp = partial.current_delta_tp()
+    alpha_r = achieved_rate_alpha(1000, delta_tp)
+    bounds = _bound_mec_gain_ctmdp(M, partial, LearnerConfig(), beta)
+    assert bounds == find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp)
 
 
 @st.composite
 def _tied_ctmdp_mecs(draw):
-    # a cycle 0 -> 1 -> ... -> 0 runs through every row, so M is an EC;
-    # with fewer reward levels than states, some rewards tie. Each successor
-    # is drawn at least 1000 times in at most 15000, so every lower estimate
-    # stays positive at delta_tp 0.05 and the interval VI converges
+    # a cycle 0 -> 1 -> ... -> 0 runs through every row, so M is an EC and
+    # every positional policy's chain on it is irreducible; with fewer
+    # reward levels than states, some rewards tie. delta_tp 1 makes the
+    # observed rows exact
     k = draw(st.integers(min_value=2, max_value=6))
     levels = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)), min_size=1, max_size=k - 1))
     rewards = {s: draw(st.sampled_from(levels)) for s in range(k)}
@@ -262,14 +250,45 @@ def _tied_ctmdp_mecs(draw):
     M = MecRecord(states=frozenset(range(k)), actions=actions)
     alpha_r = draw(st.floats(min_value=0.01, max_value=0.5))
     beta = draw(st.sampled_from((1e-3, 1e-6)))
-    delta_tp = draw(st.sampled_from((1.0, 0.05)))
-    return M, partial, alpha_r, beta, delta_tp
+    return M, partial, alpha_r, beta, 1.0
+
+
+def _best_gains_at_the_corners(M, partial, alpha_r):
+    """The best positional policy's gain at each corner of the rate box
+    around the estimates count / dwell sum, by brute force."""
+    states = range(len(M.states))  # the strategy's MECs hold 0..k-1
+    pairs = [(s, a) for s in states for a in sorted(M.actions[s])]
+    lam = {sa: sum(partial.post[sa].values()) / partial.dwell_sum[sa] for sa in pairs}
+    rewards = [partial.scaled_reward(s) for s in states]
+    factors = (1.0 - alpha_r, 1.0 + alpha_r)
+    # each policy's gain at each corner of the rates of its own pairs
+    policies = []
+    for choice in itertools.product(*(sorted(M.actions[s]) for s in states)):
+        P = np.zeros((len(states), len(states)))
+        for s, a in zip(states, choice):
+            for t, f in partial.row(s, a)[1]:
+                P[s, t] = f
+        pi = stationary_distribution(P)
+        own = tuple(zip(states, choice))
+        gains = {
+            fs: ctmdp_mec_gain(pi, rewards, [lam[sa] * f for sa, f in zip(own, fs)])
+            for fs in itertools.product(factors, repeat=len(own))
+        }
+        policies.append((own, gains))
+    return [
+        max(gains[tuple(corner[sa] for sa in own)] for own, gains in policies)
+        for corner in (dict(zip(pairs, fs)) for fs in itertools.product(factors, repeat=len(pairs)))
+    ]
 
 
 @given(_tied_ctmdp_mecs())
-@settings(deadline=None)
-def test_heuristic_bounds_equal_the_pairwise_reference_exactly(case):
-    assert find_mec_mp_bounds_heuristic(*case) == heuristic_mec_bounds(*case)
+@settings(max_examples=30, deadline=None)
+def test_exact_bounds_contain_the_best_gain_at_every_rate_box_corner(case):
+    M, partial, alpha_r, beta, _ = case
+    low, up = find_mec_mp_bounds_exact(*case)
+    best = _best_gains_at_the_corners(M, partial, alpha_r)
+    assert low <= min(best) + beta
+    assert max(best) - beta <= up
 
 
 def test_larger_rate_uncertainty_widens_the_bounds():
@@ -390,19 +409,3 @@ def test_ctmdp_learner_is_deterministic_per_seed(nonuniform):
     a, b = run(), run()
     assert a.trace == b.trace
     assert a.final == b.final
-
-
-def test_exact_mec_bounds_flag_selects_the_sweep():
-    from mppac.learn_ctmdp import _bound_mec_gain_ctmdp
-
-    def bounds(exact):
-        config = LearnerConfig(exact_mec_bounds=exact)
-        return _bound_mec_gain_ctmdp(_cycle_mec(), _cycle_rates_partial(), config, beta=1e-5)
-
-    el, eu = bounds(True)
-    hl, hu = bounds(False)
-    for low, up in ((el, eu), (hl, hu)):
-        assert low <= 1 / 3 <= up
-    # the three-call heuristic under-approximates the sweep's adversary
-    assert hl >= el - 2e-5
-    assert hu <= eu + 2e-5

@@ -39,7 +39,7 @@ def test_test_references_are_not_exported():
     }
     removed = {
         "stay_distribution", "estimate_rate", "rate_interval", "rate_inconfidence_parts", "chernoff_minimizers",
-        "boundary_rate_assignment", "StepSample",
+        "boundary_rate_assignment", "StepSample", "find_mec_mp_bounds_heuristic",
     }
     assert not any(hasattr(mppac, name) for name in references | removed)
 
@@ -66,13 +66,13 @@ def test_knob_inventory():
     fields = {f.name for f in dataclasses.fields(mppac.LearnerConfig)}
     assert fields == {
         "epsilon_mp", "delta_mp", "episodes_per_round", "precision_mode", "timeout_s", "seed", "update_style",
-        "anytime", "exact_mec_bounds",
+        "anytime",
     }
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for action in sub.choices["run"]._actions for opt in action.option_strings}
     assert options - {"-h", "--help"} == {
         "--model", "--mode", "--epsilon", "--delta", "--episodes-per-round", "--timeout-s", "--seed", "--csv",
-        "--svg", "--anytime", "--exact-mec-bounds", "--absolute",
+        "--svg", "--anytime", "--absolute",
     }
 
 
