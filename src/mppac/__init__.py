@@ -65,8 +65,7 @@ from .stats import (
     tp_width,
 )
 from .whitebox import (
-    WeightedQuotient,
-    build_weighted_quotient,
+    exact_bracket,
     exact_mean_payoff,
     exact_mec_gain,
 )

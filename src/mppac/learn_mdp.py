@@ -50,6 +50,7 @@ VIRTUAL_STEP_SECONDS = 1e-6
 
 APERIODICITY = 0.95  # y: weight of the real rows against a virtual self-loop in MEC VI
 FIXPOINT_TOL = 1e-6  # a VI phase stops once no value moves more than this
+VI_MAX_SWEEPS = 10_000  # _fixpoint returns its (still sound) values after this many sweeps
 GAIN_VI_MAX_SWEEPS = 10_000  # interval gain VI returns its (still sound) bounds after this many sweeps
 REVISIT_THRESHOLD = 6  # k: an episode checks a state for a loop at every k-th visit
 INITIAL_MEC_SAMPLES = 10_000  # the MEC walk's first per-successor budget
@@ -336,22 +337,27 @@ class _Rows:
 class _Estimates(_Rows):
     """The frozen rows of one value-iteration phase, packed into arrays.
 
-    Observation counts and stay gains do not move during a phase, only
-    L and U do. The value slots are the discovered states in
-    ``partial.available`` order, and every recorded successor is one of
-    them: a sampled successor is discovered at once, and a stay draw is
-    never recorded. Pair rows follow the states' action order.
+    available maps each state to its actions, and post maps each of those
+    pairs to {successor: weight}: sample counts for the learner, exact
+    probabilities for the whitebox. A row's frequencies are its weights over
+    their sum, and its count, which sets its width, is that sum. The value
+    slots are the states in ``available`` order, and every successor is one
+    of them. Pair rows follow the states' action order, and grey (one flag
+    per pair, or one for all) selects the residual-to-seen-extremes rows.
+    Each record in mecs carries a stay with its gain bounds. None of this
+    moves during a phase, only L and U do.
     """
 
-    def __init__(self, partial: PartialModel):
-        self.states = list(partial.available)
-        self.pairs = [(s, a) for s in self.states for a in partial.available[s]]
-        succs = [partial.post[sa] for sa in self.pairs]
+    def __init__(self, available, post, mecs, grey, delta_tp: float):
+        self.states = list(available)
+        self.pairs = [(s, a) for s in self.states for a in available[s]]
+        succs = [post[sa] for sa in self.pairs]
         lens = list(map(len, succs))
         counts = list(map(sum, map(dict.values, succs)))
         entry_row = np.repeat(np.arange(len(succs)), lens)
         succ = np.fromiter(chain.from_iterable(succs), dtype=np.intp, count=len(entry_row))
-        seen = np.fromiter(chain.from_iterable(map(dict.values, succs)), dtype=np.int64, count=len(entry_row))
+        # float64 holds integer counts exactly, so count frequencies do not move
+        seen = np.fromiter(chain.from_iterable(map(dict.values, succs)), dtype=float, count=len(entry_row))
         order = np.lexsort((succ, entry_row))  # by row, then successor
         slot = {s: i for i, s in enumerate(self.states)}
         super().__init__(
@@ -359,29 +365,22 @@ class _Estimates(_Rows):
             lens,
             [slot[t] for t in succ[order].tolist()],
             seen[order] / np.array(counts)[entry_row],
-            partial.grey_equations(self.pairs),
-            [len(partial.available[s]) for s in self.states],
-            partial.current_delta_tp(),
+            grey,
+            [len(available[s]) for s in self.states],
+            delta_tp,
         )
-        self.stay_l = np.zeros(len(self.states))
-        self.stay_u = np.zeros(len(self.states))
-        for s, rec in partial.stay_of.items():
-            self.stay_l[slot[s]] = rec.gain_lower
-            self.stay_u[slot[s]] = rec.gain_upper
 
-        # deflation: each stay MEC's states, its stay gain and the rows of
-        # its leaving pairs (post is frozen, so these are too)
+        # stays and deflation: each MEC's states, its stay gains and the rows
+        # of its leaving pairs (post is frozen, so these are too)
         def row_of(s, a):
-            return self.heads[slot[s]] + partial.available[s].index(a)
+            return self.heads[slot[s]] + available[s].index(a)
 
-        clamp_slots, clamp_mec, exits, exit_heads, exit_mecs, gains = [], [], [], [], [], []
-        for M in partial.mecs:
-            k = len(gains)
-            gains.append(M.gain_upper)
+        clamp_slots, clamp_mec, exits, exit_heads, exit_mecs = [], [], [], [], []
+        for k, M in enumerate(mecs):
             for s in M.states:
                 clamp_slots.append(slot[s])
                 clamp_mec.append(k)
-            out = [row_of(*sa) for sa in leaving_pairs(M, partial.available, partial.post)]
+            out = [row_of(*sa) for sa in leaving_pairs(M, available, post)]
             if out:
                 exit_heads.append(len(exits))
                 exit_mecs.append(k)
@@ -391,7 +390,11 @@ class _Estimates(_Rows):
         self.exits = np.array(exits, dtype=np.intp)
         self.exit_heads = np.array(exit_heads, dtype=np.intp)
         self.exit_mecs = np.array(exit_mecs, dtype=np.intp)
-        self.gains = np.array(gains, dtype=float)
+        self.gains = np.array([M.gain_upper for M in mecs], dtype=float)
+        self.stay_l = np.zeros(len(self.states))
+        self.stay_u = np.zeros(len(self.states))
+        self.stay_l[self.clamp_slots] = np.array([M.gain_lower for M in mecs], dtype=float)[self.clamp_mec]
+        self.stay_u[self.clamp_slots] = self.gains[self.clamp_mec]
 
     def store(self, partial: PartialModel, L, U, pair_l, pair_u) -> None:
         """Write state and pair values back into the partial model's dicts."""
@@ -437,28 +440,50 @@ def _mec_action_values(partial: PartialModel, M: MecRecord) -> dict:
     return vals
 
 
-def _vi_phase(partial: PartialModel) -> None:
-    """Reinitialize L/U and iterate sweep + deflate to the fixpoint.
+def _fixpoint(est: _Estimates, tol: float):
+    """Iterate sweep + deflate from L = 0 and U = 1 until no value moves more
+    than tol, or for VI_MAX_SWEEPS sweeps. Returns (L, U, pair lower, pair
+    upper) after the last sweep.
 
+    L only rises and U only falls, and both bound the values at every sweep
+    (Haddad & Monmege, "Interval iteration algorithm for MDPs and IMDPs",
+    TCS 2018), so a capped run returns a wider interval, not a wrong one.
     Convergence is judged on the values after deflation: the sweep alone can
     keep re-raising a closed MEC's U to the estimation-width floor that
-    deflation then removes, so per-phase movement never settles even though
+    deflation then removes, so per-sweep movement never settles even though
     the post-deflate values do (monotonically — the sweep is a monotone map
-    and deflation only lowers U). The values live in arrays for the whole
-    phase and are written back to the partial model once, at the end.
+    and deflation only lowers U).
     """
-    est = _Estimates(partial)
     L = np.zeros(len(est.states))
     U = np.ones(len(est.states))
-    while True:
+    for _ in range(VI_MAX_SWEEPS):
         pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
         est.deflate(pair_u, new_u)
         moved = _movement(L, U, new_l, new_u)
         L, U = new_l, new_u
-        if moved <= FIXPOINT_TOL:
-            est.store(partial, L, U, pair_l, pair_u)
-            partial.invalidate_choices()
-            return
+        if moved <= tol:
+            break
+    return L, U, pair_l, pair_u
+
+
+def _estimates(partial: PartialModel) -> _Estimates:
+    """The partial model's rows at its current counts and inconfidence. Every
+    recorded successor has a value slot: a sampled successor is discovered at
+    once, and a stay draw is never recorded."""
+    pairs = [(s, a) for s, av in partial.available.items() for a in av]
+    return _Estimates(
+        partial.available, partial.post, partial.mecs, partial.grey_equations(pairs), partial.current_delta_tp()
+    )
+
+
+def _vi_phase(partial: PartialModel) -> None:
+    """Recompute L/U of every discovered state from scratch by _fixpoint at
+    FIXPOINT_TOL. The values live in arrays for the whole phase and are
+    written back to the partial model once, at the end. The phase stops after
+    VI_MAX_SWEEPS sweeps at the latest, and does not report whether it did."""
+    est = _estimates(partial)
+    est.store(partial, *_fixpoint(est, FIXPOINT_TOL))
+    partial.invalidate_choices()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ model generators, and a brute-force end-component oracle."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from mppac import (
     BLACKBOX,
     BLACKBOX_UPDATES,
+    CTMDP,
     MDP,
     MINUS,
     PLUS,
@@ -227,3 +229,11 @@ def random_mdp_model(rng, max_states=5, max_reward=1.0) -> ExplicitModel:
         rows=rows,
         reward=rewards,
     )
+
+
+def random_ctmdp_model(rng, max_states=5, max_reward=1.0) -> ExplicitModel:
+    """random_mdp_model's draw as a CTMDP: each pair's probabilities become
+    its embedded ones, at one random exit rate per pair."""
+    m = random_mdp_model(rng, max_states, max_reward)
+    rates = {sa: float(rng.choice([0.5, 1.0, 2.0, 4.0, 8.0])) for sa in m.rows}
+    return replace(m, kind=CTMDP, rows={sa: {t: p * rates[sa] for t, p in row.items()} for sa, row in m.rows.items()})

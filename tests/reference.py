@@ -25,10 +25,9 @@ import math
 import numpy as np
 
 from mppac.graph import ClosedMec, MecRecord, _sccs, best_leaving_action
-from mppac.learn_mdp import PartialModel, _Estimates, _mec_action_values, _movement, _sweep_once
+from mppac.learn_mdp import PartialModel, _estimates, _mec_action_values, _movement, _sweep_once
 from mppac.model import CTMDP, MDP, ExplicitModel, ModelError
 from mppac.stats import tp_width
-from mppac.whitebox import _solver_rows
 
 POLICY_LIMIT = 300_000  # most positional policies enumerate_policies_gain tries
 
@@ -83,7 +82,7 @@ def global_update(partial: PartialModel, update_style: str | None = None, tol: f
     """
     if update_style is not None:
         partial.update_style = update_style
-    est = _Estimates(partial)
+    est = _estimates(partial)
     L = np.array([partial.L[s] for s in est.states], dtype=float)
     U = np.array([partial.U[s] for s in est.states], dtype=float)
     pair_l, pair_u, new_l, new_u = _sweep_once(est, L, U)
@@ -209,8 +208,10 @@ def _chain_gain(P: np.ndarray, r: np.ndarray, init: int) -> float:
 def enumerate_policies_gain(model: ExplicitModel) -> float:
     """Exact maximal gain by brute force over positional policies.
 
-    Only for desk-scale models: refuses more than 8 states or more than
-    POLICY_LIMIT policies.
+    A CTMDP is uniformized at its largest exit rate C: R(s,a,t)/C toward
+    each t and the remaining 1 − λ(s,a)/C on s, which keeps every policy's
+    time-average gain. Only for desk-scale models: refuses more than 8
+    states or more than POLICY_LIMIT policies.
     """
     n = model.state_count
     if n > 8:
@@ -221,13 +222,15 @@ def enumerate_policies_gain(model: ExplicitModel) -> float:
         if total > POLICY_LIMIT:
             raise ValueError(f"too many positional policies (> {POLICY_LIMIT})")
 
-    rows = _solver_rows(model)
+    C = max(sum(row.values()) for row in model.rows.values()) if model.kind == CTMDP else 1.0
     r = np.asarray(model.reward, dtype=float)
     best = -math.inf
     for policy in itertools.product(*model.actions):
         P = np.zeros((n, n))
         for s, a in enumerate(policy):
-            for t, p in rows[(s, a)].items():
-                P[s, t] = p
+            for t, p in model.rows[(s, a)].items():
+                P[s, t] = p / C
+            if model.kind == CTMDP:
+                P[s, s] += 1.0 - sum(model.rows[(s, a)].values()) / C
         best = max(best, _chain_gain(P, r, model.init))
     return best

@@ -15,11 +15,9 @@ import numpy as np
 import pytest
 
 from mppac import (
-    CTMDP,
     GREYBOX_UPDATES,
     MINUS,
     PLUS,
-    ExplicitModel,
     LearnerConfig,
     MecRecord,
     SampleOracle,
@@ -37,7 +35,14 @@ from mppac import (
 from mppac.cli import main
 
 from .conftest import brute_force_mecs, frozen_partial, random_mdp_graph
-from .reference import chernoff_log_term, chernoff_minimizers, global_update, model_graph
+from .reference import (
+    chernoff_log_term,
+    chernoff_minimizers,
+    ctmdp_mec_gain,
+    global_update,
+    model_graph,
+    stationary_distribution,
+)
 
 # ---------------------------------------------------------------------------
 # 1. dwell-sample lookup table against its independently rounded reference
@@ -364,21 +369,14 @@ def _random_ctmdp_mec(rng):
 
 
 def _corner_gain(probs, rewards, corner_rates):
-    p_min = min(min(row.values()) for row in probs.values())
-    rows = {
-        (s, "a"): {t: corner_rates[s] * p for t, p in probs[s].items()}
-        for s in range(3)
-    }
-    model = ExplicitModel(
-        kind=CTMDP,
-        state_count=3,
-        init=0,
-        p_min=p_min,
-        actions=(("a",), ("a",), ("a",)),
-        rows=rows,
-        reward=(rewards[0], rewards[1], rewards[2]),
-    )
-    return exact_mean_payoff(model)
+    # the ring is irreducible: its embedded chain's stationary frequencies,
+    # weighed by residence time 1/λ
+    P = np.zeros((3, 3))
+    for s, row in probs.items():
+        for t, p in row.items():
+            P[s, t] = p
+    pi = stationary_distribution(P)
+    return ctmdp_mec_gain(pi, [rewards[s] for s in range(3)], [corner_rates[s] for s in range(3)])
 
 
 def test_rate_sweep_contains_the_corner_extrema():

@@ -39,7 +39,8 @@ def test_test_references_are_not_exported():
     }
     removed = {
         "stay_distribution", "estimate_rate", "rate_interval", "rate_inconfidence_parts", "chernoff_minimizers",
-        "boundary_rate_assignment", "StepSample", "find_mec_mp_bounds_heuristic",
+        "boundary_rate_assignment", "StepSample", "find_mec_mp_bounds_heuristic", "WeightedQuotient",
+        "build_weighted_quotient",
     }
     assert not any(hasattr(mppac, name) for name in references | removed)
 
