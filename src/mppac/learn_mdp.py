@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -128,8 +128,8 @@ class PartialModel:
         # act_L/act_U and the gains of its own stay record
         self._choice_cache: dict[int, tuple] = {}
         # leaving_action memo per stay record (by id); it reads its own
-        # states' values and their observed successors, so it is cleared as
-        # well when a pair gains a successor
+        # states' values and their observed successors, so an episode pops a
+        # record's entry when a pair of one of its states gains a successor
         self._leave_cache: dict[int, tuple[int, str]] = {}
 
     def invalidate_choices(self) -> None:
@@ -523,17 +523,29 @@ def _draw_stay(rec: MecRecord, rng) -> int:
 
 def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
     """Loop check for a state revisited often: find the MEC containing s in
-    the observed graph restricted to the path with under-sampled actions
-    removed, then require the strict sure-EC gate. Returns the confirmed
-    record (truthy) or None."""
+    the observed graph restricted to the path (any iterable of its states)
+    with under-sampled actions removed, then require the strict sure-EC
+    gate. Returns the confirmed record (truthy) or None.
+
+    It reads only the kept pairs reachable from s: those whose observed
+    successors all lie on the path and whose count meets the gate. That
+    MEC is the same as in the whole path's kept graph: its states are
+    reachable from s over its own kept pairs, and the reached states' kept
+    pairs stay among them."""
     px = set(path)
     need = ec_required_samples(delta_tp, p_min)
+    available, post = partial.available, partial.post
     graph = {}
-    for q in sorted(px):
-        for a in partial.available[q]:
-            ts = partial.post[(q, a)]
+    reached = {s}
+    todo = [s]
+    while todo:
+        q = todo.pop()
+        for a in available[q]:
+            ts = post[(q, a)]
             if ts.keys() <= px and sum(ts.values()) >= need:
                 graph[(q, a)] = frozenset(ts)
+                todo.extend(t for t in ts if t not in reached)
+                reached.update(ts)
     for m in mec_decomposition(graph):
         if s in m.states:
             # the gate reads only pairs of m's states, which all lie on the path
@@ -544,68 +556,75 @@ def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
 
 def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
     """One episode from the initial state, ending in a terminal pseudo-state
-    (or aborted by the deadline, leaving counts valid). A revisit check that
-    finds a stay record makes the next step that record's leaving action:
-    no choice is drawn for it and no revisit check follows it."""
+    (or aborted by the deadline, leaving counts valid). Only a stay draw
+    reaches a terminal. A revisit check that finds a stay record makes the
+    next step that record's leaving action: no choice is drawn for it and no
+    revisit check follows it. The deadline is read every 64th step, from the
+    first on."""
     k = REVISIT_THRESHOLD
     s = oracle.init
-    partial.discover(s, oracle)
+    available = partial.available
+    if s not in available:
+        partial.discover(s, oracle)
     path = [s]
     appear = {s: 1}
     leave = None  # the forced next (state, action), if any
     # this loop dominates learning time, so the common step (a cached greedy
     # choice of a real action) inlines _choose_action and the step's record
-    choices = partial._choice_cache
+    choice_of = partial._choice_cache.get
     leaves = partial._leave_cache
-    available = partial.available
     post = partial.post
     dwell_sum = partial.dwell_sum
     sample = oracle.sample_step
     rand = rng.random
     monotonic = time.monotonic
-    while True:
-        if monotonic() >= deadline:
+    append = path.append
+    appeared = appear.get
+    for i in count():
+        if not i & 63 and monotonic() >= deadline:
             return path
         if leave is not None:
-            s, a = leave
+            s, a = key = leave
         else:
-            labels = choices.get(s)
+            labels = choice_of(s)
             if labels is None:
                 a = _choose_action(s, partial, rng)
             elif len(labels) == 1:
                 a = labels[0]
             else:
                 a = labels[min(int(rand() * len(labels)), len(labels) - 1)]
-        if a == STAY:
-            t = _draw_stay(partial.stay_of[s], rng)
-        else:
-            t, dwell = sample(s, a)
             key = (s, a)
-            succ = post[key]
-            c = succ.get(t)
-            if c is None:
-                succ[t] = 1
-                leaves.clear()
-            else:
-                succ[t] = c + 1
-            if dwell is not None:
-                dwell_sum[key] = dwell_sum.get(key, 0.0) + dwell
-            if t not in available:
-                partial.discover(t, oracle)
-        path.append(t)
-        if t in TERMINALS:
+        if a == STAY:
+            append(_draw_stay(partial.stay_of[s], rng))
             return path
-        c = appear.get(t, 0) + 1
+        t, dwell = sample(s, a)
+        succ = post[key]
+        c = succ.get(t)
+        if c is None:
+            succ[t] = 1
+            # only the leaving action of the record holding s reads this pair
+            rec = partial.stay_of.get(s)
+            if rec is not None:
+                leaves.pop(id(rec), None)
+        else:
+            succ[t] = c + 1
+        if dwell is not None:
+            dwell_sum[key] = dwell_sum.get(key, 0.0) + dwell
+        if t not in available:
+            partial.discover(t, oracle)
+        append(t)
+        c = appeared(t, 0) + 1
         appear[t] = c
         if leave is not None:
             leave = None
         elif c % k == 0:
             # a state already carrying a confirmed stay record needs no new
             # loop analysis; re-deriving from the current (partial) path
-            # could even shrink the record and discard its learned gains
+            # could even shrink the record and discard its learned gains;
+            # appear holds the path's states once each, however long it is
             rec = partial.stay_of.get(t)
             if rec is None:
-                rec = looping(path, t, partial, partial.current_delta_tp(), partial.p_min)
+                rec = looping(appear, t, partial, partial.current_delta_tp(), partial.p_min)
                 if rec is not None:
                     partial.adopt_looping_record(rec)
             if rec is not None:

@@ -6,8 +6,10 @@ a per-row loop, independent of the packed row kernel. global_update is one
 sweep of that kernel and the phase's deflation, with the values read from
 and written to the partial model's dicts. deflate clamps one MEC at a time,
 ranking its exits with best_leaving_action, where the value-iteration phase
-clamps every MEC at once. record_step counts one sampled step, as the
-episode and the MEC walk do in their own loops. ctmdp_mec_gain is the gain
+clamps every MEC at once. looping_whole_path is the loop check over the
+kept pairs of every state on the path, where looping reads only those
+reachable from the revisited state. record_step counts one sampled step,
+as the episode and the MEC walk do in their own loops. ctmdp_mec_gain is the gain
 of a chain with known stationary frequencies and rates, and
 stationary_distribution gives those frequencies for an irreducible chain.
 chernoff_log_term and chernoff_minimizers give the dwell-time Chernoff
@@ -24,10 +26,10 @@ import math
 
 import numpy as np
 
-from mppac.graph import ClosedMec, MecRecord, _sccs, best_leaving_action
+from mppac.graph import ClosedMec, MecRecord, _sccs, best_leaving_action, is_delta_sure_ec, mec_decomposition
 from mppac.learn_mdp import PartialModel, _estimates, _mec_action_values, _movement, _sweep_once
 from mppac.model import CTMDP, MDP, ExplicitModel, ModelError
-from mppac.stats import tp_width
+from mppac.stats import ec_required_samples, tp_width
 
 POLICY_LIMIT = 300_000  # most positional policies enumerate_policies_gain tries
 
@@ -106,6 +108,25 @@ def deflate(M: MecRecord, partial: PartialModel) -> float:
             moved = max(moved, partial.U[s] - up)
             partial.U[s] = up
     return moved
+
+
+def looping_whole_path(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
+    """The MEC containing s among the kept pairs of every state on the path
+    (successors on the path, count at the gate), if it passes the strict
+    sure-EC gate; else None."""
+    px = set(path)
+    need = ec_required_samples(delta_tp, p_min)
+    graph = {}
+    for q in sorted(px):
+        for a in partial.available[q]:
+            ts = partial.post[(q, a)]
+            if ts.keys() <= px and sum(ts.values()) >= need:
+                graph[(q, a)] = frozenset(ts)
+    for m in mec_decomposition(graph):
+        if s in m.states:
+            own = {(q, a): partial.post[(q, a)] for q in m.states for a in partial.available[q]}
+            return m if is_delta_sure_ec(m.states, own, delta_tp, p_min) else None
+    return None
 
 
 def record_step(partial: PartialModel, s: int, a: str, t: int, dwell: float | None) -> None:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppac import (
@@ -50,8 +50,8 @@ from mppac.learn_mdp import (
 )
 from mppac.stats import tp_width
 
-from .conftest import frozen_partial
-from .reference import bellman_blackbox, bellman_greybox, deflate, global_update, record_step
+from .conftest import frozen_partial, random_mdp_graph
+from .reference import bellman_blackbox, bellman_greybox, deflate, global_update, looping_whole_path, record_step
 from .test_golden_traces import layered_model, random5_x3
 
 # ---------------------------------------------------------------------------
@@ -347,6 +347,26 @@ def test_looping_rejects_transient_states():
     assert looping([0, 0, 0], 0, partial, 0.1, 0.1) is None
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_looping_finds_what_the_whole_path_check_finds(seed):
+    # random counts around the gate's 22 samples (δ_tp = p_min = 0.1) keep
+    # some pairs and drop others; the path covers a random subset of states
+    rng = np.random.default_rng(seed)
+    graph = random_mdp_graph(rng, max_states=6)
+    triples = {(q, a, t): int(rng.integers(1, 25)) for (q, a), ts in graph.items() for t in ts}
+    states = sorted({q for q, _ in graph})
+    partial = frozen_partial(triples, rewards=dict.fromkeys(states, 0.0))
+    s = int(rng.choice(states))
+    path = [s, *(q for q in states if rng.random() < 0.7), s]
+    rng.shuffle(path)
+    got = looping(path, s, partial, 0.1, 0.1)
+    want = looping_whole_path(path, s, partial, 0.1, 0.1)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.key() == want.key()
+
+
 def test_adopt_drops_overlapping_stale_records():
     partial = frozen_partial(
         {(1, "a", 2): 30, (2, "b", 1): 30},
@@ -487,13 +507,22 @@ def _memos_match_a_fresh_memo(partial):
 @pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "layered"])
 def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
     # adopting a looping record and refitting a record clear only the memo
-    # entries of the records they adopt, refit or drop; a VI phase clears all
+    # entries of the records they adopt, refit or drop, and an episode only
+    # the leaving actions of records whose pairs gained a successor; a VI
+    # phase clears all
     import mppac.learn_mdp as learn_mdp
 
-    calls = {"adopt": 0, "refine": 0, "vi": 0}
+    calls = {"adopt": 0, "refine": 0, "vi": 0, "episode": 0}
     adopt = PartialModel.adopt_looping_record
     refine = learn_mdp.update_mec_value
     vi_phase = learn_mdp._vi_phase
+    episode = learn_mdp.simulate_episode
+
+    def checked_episode(oracle, partial, *args):
+        path = episode(oracle, partial, *args)
+        calls["episode"] += 1
+        _memos_match_a_fresh_memo(partial)
+        return path
 
     def checked_adopt(partial, rec):
         adopt(partial, rec)
@@ -514,6 +543,7 @@ def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
     monkeypatch.setattr(PartialModel, "adopt_looping_record", checked_adopt)
     monkeypatch.setattr(learn_mdp, "update_mec_value", checked_refine)
     monkeypatch.setattr(learn_mdp, "_vi_phase", checked_vi_phase)
+    monkeypatch.setattr(learn_mdp, "simulate_episode", checked_episode)
     if model_file == "layered":  # one-state sinks under a small layered fragment
         model, info, style = layered_model(layers=3, width=12), GREYBOX, GREYBOX_UPDATES
     else:
@@ -1093,6 +1123,43 @@ def test_episode_leaves_by_an_action_seen_leaving_in_the_same_round():
     second = simulate_episode(oracle, partial, rng, math.inf)
     assert second[:-1] == [0, 2, 0, 0, 0, 0, 0, 1]
     assert second[-1] in TERMINALS
+
+
+def test_a_new_successor_forgets_only_its_own_records_leaving_action():
+    # y at state 0 reaches state 1 for the first time: the record on 0 may
+    # now leave by y, while the record on 1 reads none of state 0's pairs
+    oracle = _ScriptedOracle({0: ("x", "y"), 1: ("z",)}, {(0, "y"): [1]})
+    partial = _leaving_partial()
+    at_0, at_1 = partial.mecs
+    assert partial.leaving_action(at_0) == (0, STAY)
+    assert partial.leaving_action(at_1) == (1, STAY)
+    path = simulate_episode(oracle, partial, learner_rng(0), math.inf)
+    assert path[:-1] == [0, 1] and path[-1] in TERMINALS
+    assert id(at_0) not in partial._leave_cache
+    assert partial._leave_cache[id(at_1)] == (1, STAY)
+    assert partial.leaving_action(at_0) == (0, "y")
+
+
+class _CycleOracle(_ScriptedOracle):
+    """Blackbox MDP oracle of the deterministic cycle 0 -> 1 -> 0."""
+
+    def __init__(self):
+        super().__init__({0: ("a",), 1: ("a",)}, {})
+
+    def sample_step(self, s, a):
+        self.steps_sampled += 1
+        return 1 - s, None
+
+
+def test_an_endless_episode_stops_at_its_deadline():
+    # at this p_min no pair meets the sure-EC gate, so the loop check never
+    # confirms the cycle and only the deadline, read every 64th step, ends it
+    partial = frozen_partial({}, rewards={}, p_min=1e-12)
+    deadline = time.monotonic() + 0.02
+    path = simulate_episode(_CycleOracle(), partial, learner_rng(0), deadline)
+    assert time.monotonic() - deadline < 0.05
+    assert path[-1] not in TERMINALS
+    assert len(path) > 64
 
 
 @pytest.mark.parametrize(

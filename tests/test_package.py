@@ -114,7 +114,7 @@ def test_benchmark_bindings_resolve(monkeypatch):
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-@pytest.mark.parametrize("workload", ["walk-ctmdp", "ladder-greybox"])
+@pytest.mark.parametrize("workload", ["episodes-random5", "walk-ctmdp", "ladder-greybox"])
 def test_benchmark_run_is_correct(workload, trace):
     # one short run of a workload through the benchmark's own gates: whitebox
     # containment, identical results at the same seed, every oracle step seen
