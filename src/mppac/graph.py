@@ -5,14 +5,13 @@ mapping (state, action) to a collection of successors (a set, or a learned
 {successor: count} dict, whose keys are the successors), so the same code
 serves full models (whitebox) and learned partial models. The sure-EC
 checks read a learned {successor: count} mapping, whose values sum to the
-pair's sample count.
+pair's sample count, and take the sample threshold a staying pair must
+meet from the caller, so this module needs no statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .stats import ec_required_samples
+from dataclasses import dataclass
 
 # Label of the synthetic stay action attached to confirmed MECs. '~' sorts
 # after alphanumerics, so label tie-breaks prefer real actions over stay.
@@ -136,30 +135,40 @@ def mec_decomposition(graph) -> list[MecRecord]:
     return mecs
 
 
-def is_delta_sure_ec(T, post, delta_tp: float, p_min: float) -> bool:
+def kept_pairs(sources, within, available, post, need) -> dict:
+    """The pairs reachable from sources over kept pairs, those sampled at
+    least need times with every observed successor in within. A reached
+    state keeps all its kept pairs, so a MEC holding a source is found."""
+    graph = {}
+    reached = set(sources)
+    todo = list(reached)
+    while todo:
+        q = todo.pop()
+        for a in available[q]:
+            ts = post[(q, a)]
+            if ts.keys() <= within and sum(ts.values()) >= need:
+                graph[(q, a)] = ts
+                todo.extend(t for t in ts if t not in reached)
+                reached.update(ts)
+    return graph
+
+
+def is_delta_sure_ec(T, available, post, need: int) -> bool:
     """Strict sure-EC check for a state set T of the observed graph.
 
-    A staying pair is any known (s, a), s in T, whose *observed* successors
-    all lie in T — an unsampled action has empty observed post and therefore
-    stays, so it blocks until sampled (count 0 never meets the threshold).
-    True iff every staying pair has count >= ec_required_samples.
-
-    post maps every available action of every state in T to its
-    {successor: count} dict (empty for never-sampled actions).
+    A staying pair is any available (s, a), s in T, whose *observed*
+    successors all lie in T — an unsampled action has empty observed post
+    and therefore stays, so it blocks until sampled (count 0 never meets the
+    threshold). True iff every staying pair has count >= need.
     """
-    need = ec_required_samples(delta_tp, p_min)
-    T = frozenset(T)
-    for (s, a), ts in post.items():
-        if s in T and ts.keys() <= T and sum(ts.values()) < need:
-            return False
-    return True
+    own = (post[(s, a)] for s in T for a in available[s])
+    return all(sum(ts.values()) >= need for ts in own if ts.keys() <= T)
 
 
-def find_delta_sure_mecs(post, delta_tp: float, p_min: float) -> list[MecRecord]:
-    """MECs of the observed graph post ((s,a) -> {successor: count}) after
-    deleting every action sampled fewer than ec_required_samples times."""
-    need = ec_required_samples(delta_tp, p_min)
-    return mec_decomposition({sa: ts for sa, ts in post.items() if sum(ts.values()) >= need})
+def find_delta_sure_mecs(sources, available, post, need: int) -> list[MecRecord]:
+    """MECs of the observed pairs sampled at least need times, among what
+    sources reach over those pairs: every such MEC that holds a source."""
+    return mec_decomposition(kept_pairs(sources, available.keys(), available, post, need))
 
 
 def leaving_pairs(M: MecRecord, available, post) -> list[tuple[int, str]]:

@@ -150,7 +150,7 @@ find_mec_mp_bounds_heuristic = find_mec_mp_bounds_exact  # bound here for bench/
 # learner loop
 
 
-def _bound_mec_gain_ctmdp(M, partial, config, beta):
+def _bound_mec_gain_ctmdp(M, partial, beta):
     """CTMDP gain bounder for update_mec_value: the rate-adversarial bounds
     at the relative rate error certified for all of M's pairs, that of its
     least-sampled pair (achieved_rate_alpha does not grow with the count).

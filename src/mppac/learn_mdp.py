@@ -25,6 +25,7 @@ from .graph import (
     best_leaving_action,
     find_delta_sure_mecs,
     is_delta_sure_ec,
+    kept_pairs,
     leaving_pairs,
     mec_decomposition,
 )
@@ -221,6 +222,10 @@ class PartialModel:
             return tp_inconfidence(d1, self.p_min, self.num_pairs())
         return tp_inconfidence(self.delta_mp, self.p_min, self.num_pairs())
 
+    def sure_ec_need(self) -> int:
+        """Samples each staying pair needs to pass the sure-EC gate now."""
+        return ec_required_samples(self.current_delta_tp(), self.p_min)
+
     def grey_equations(self, pairs) -> np.ndarray:
         """Per pair (s,a): whether the residual-to-seen-extremes update is
         used for it."""
@@ -241,9 +246,16 @@ class PartialModel:
 
     # -- MEC record bookkeeping -----------------------------------------
 
-    def rebuild_stay_of(self) -> None:
-        self.stay_of = {s: m for m in self.mecs for s in m.states}
-        self.invalidate_choices()
+    def drop(self, records: list[MecRecord]) -> None:
+        """Remove held records and their stays. A choice reads only its own
+        state's pairs and stay, and a leaving action only its own record's
+        states, so only the dropped records' memo entries change."""
+        gone = set(map(id, records))
+        self.mecs = [m for m in self.mecs if id(m) not in gone]
+        for m in records:
+            for s in m.states:
+                del self.stay_of[s]
+        self.forget(records)
 
     def reconcile_mecs(self, fresh: list[MecRecord]) -> None:
         """Keep each held record whose state and action sets are those of one
@@ -251,21 +263,15 @@ class PartialModel:
         rest, since a changed MEC invalidates old gain bounds. A sure MEC gets
         a stay only once looping confirms it."""
         keys = {m.key() for m in fresh}
-        self.mecs = [m for m in self.mecs if m.key() in keys]
-        self.rebuild_stay_of()
+        self.drop([m for m in self.mecs if m.key() not in keys])
 
     def adopt_looping_record(self, rec: MecRecord) -> None:
         """Attach stay to a freshly confirmed EC mid-episode, dropping the
-        held records it overlaps. Held records are disjoint, so only the
-        memos of rec and of the dropped records change."""
-        dropped = [m for m in self.mecs if m.states & rec.states]
-        self.mecs = [m for m in self.mecs if not (m.states & rec.states)]
+        held records it overlaps."""
+        self.drop([m for m in self.mecs if m.states & rec.states])
         self.mecs.append(rec)
-        for m in dropped:
-            for s in m.states:
-                del self.stay_of[s]
         self.stay_of.update(dict.fromkeys(rec.states, rec))
-        self.forget([*dropped, rec])
+        self.forget([rec])
 
 
 # ---------------------------------------------------------------------------
@@ -521,36 +527,16 @@ def _draw_stay(rec: MecRecord, rng) -> int:
     return UNKNOWN
 
 
-def looping(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
-    """Loop check for a state revisited often: find the MEC containing s in
-    the observed graph restricted to the path (any iterable of its states)
-    with under-sampled actions removed, then require the strict sure-EC
-    gate. Returns the confirmed record (truthy) or None.
-
-    It reads only the kept pairs reachable from s: those whose observed
-    successors all lie on the path and whose count meets the gate. That
-    MEC is the same as in the whole path's kept graph: its states are
-    reachable from s over its own kept pairs, and the reached states' kept
-    pairs stay among them."""
-    px = set(path)
-    need = ec_required_samples(delta_tp, p_min)
-    available, post = partial.available, partial.post
-    graph = {}
-    reached = {s}
-    todo = [s]
-    while todo:
-        q = todo.pop()
-        for a in available[q]:
-            ts = post[(q, a)]
-            if ts.keys() <= px and sum(ts.values()) >= need:
-                graph[(q, a)] = frozenset(ts)
-                todo.extend(t for t in ts if t not in reached)
-                reached.update(ts)
-    for m in mec_decomposition(graph):
+def looping(path, s: int, partial: PartialModel, need: int):
+    """Loop check for a state revisited often: the MEC containing s among the
+    kept pairs at need that s reaches on the path (any iterable of its
+    states), if it passes the strict sure-EC gate at need; else None. It is
+    the MEC of the whole path's kept graph: its states are reachable from s
+    over its own kept pairs, and the reached states' kept pairs stay among
+    them."""
+    for m in mec_decomposition(kept_pairs((s,), set(path), partial.available, partial.post, need)):
         if s in m.states:
-            # the gate reads only pairs of m's states, which all lie on the path
-            own = {(q, a): partial.post[(q, a)] for q in m.states for a in partial.available[q]}
-            return m if is_delta_sure_ec(m.states, own, delta_tp, p_min) else None
+            return m if is_delta_sure_ec(m.states, partial.available, partial.post, need) else None
     return None
 
 
@@ -624,7 +610,7 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
             # appear holds the path's states once each, however long it is
             rec = partial.stay_of.get(t)
             if rec is None:
-                rec = looping(appear, t, partial, partial.current_delta_tp(), partial.p_min)
+                rec = looping(appear, t, partial, partial.sure_ec_need())
                 if rec is not None:
                     partial.adopt_looping_record(rec)
             if rec is not None:
@@ -757,14 +743,7 @@ def _tighten(M: MecRecord, gl: float, gu: float) -> None:
     M.gain_upper = hi
 
 
-def drop_stale_record(M: MecRecord, partial: PartialModel) -> None:
-    """A retained pair of M was seen leaving it, by an episode or a walk: its
-    staying-action evidence was wrong, so the record loses its stay action."""
-    partial.mecs = [m for m in partial.mecs if m is not M]
-    partial.rebuild_stay_of()
-
-
-def _bound_mec_gain(M: MecRecord, partial: PartialModel, config: LearnerConfig, beta: float):
+def _bound_mec_gain(M: MecRecord, partial: PartialModel, beta: float):
     """MDP gain bounder for update_mec_value: interval VI at the current counts."""
     return mec_value_iteration(M, partial, partial.current_delta_tp(), beta)
 
@@ -781,30 +760,31 @@ def update_mec_value(
 ):
     """Refine M's gain bounds, aiming the gain bounder at half the current gap.
 
-    bound(M, partial, config, beta) returns fresh (lower, upper) gain bounds
-    at the current counts: interval VI for MDPs, the rate-adversarial sweep
-    for CTMDPs. Value iteration alone often suffices: the precision target
-    beta, not the visit counts, is what binds whenever rows concentrate on
-    few successors (a single-successor row loses no width at any count). The
+    bound(M, partial, beta) returns fresh (lower, upper) gain bounds at the
+    current counts: interval VI for MDPs, the rate-adversarial sweep for
+    CTMDPs. Value iteration alone often suffices: the precision target beta,
+    not the visit counts, is what binds whenever rows concentrate on few
+    successors (a single-successor row loses no width at any count). The
     sampling walk with its escalating budget therefore only runs when the
     bounds at the current counts leave the gap too wide, i.e. when the
     count-driven width floor is the binding constraint. Returns the new
-    bounds, or None if M is stale and was dropped: a retained pair was seen
-    leaving M, by an episode since the record was confirmed or by the walk.
+    bounds, or None if M is stale and lost its stay: a retained pair was
+    seen leaving M, by an episode since the record was confirmed or by the
+    walk, so its staying-action evidence was wrong.
     """
 
     def refit():
-        _tighten(M, *bound(M, partial, config, (M.gain_upper - M.gain_lower) / 2.0))
+        _tighten(M, *bound(M, partial, (M.gain_upper - M.gain_lower) / 2.0))
         partial.forget([M])
 
     if any(t not in M.states for s in M.states for a in M.actions[s] for t in partial.post[(s, a)]):
-        drop_stale_record(M, partial)
+        partial.drop([M])
         return None
     refit()
     if not _needs_refinement(M, partial, config):
         return M.gain_lower, M.gain_upper
     if not simulate_mec(M, oracle, compute_n_samples(M, partial), rng, partial, start, deadline):
-        drop_stale_record(M, partial)
+        partial.drop([M])
         return None
     refit()
     return M.gain_lower, M.gain_upper
@@ -863,7 +843,8 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
                     if _needs_refinement(rec, partial, config):
                         refine(rec, oracle, partial, config, rng, path[-2], deadline)
 
-        fresh = find_delta_sure_mecs(partial.post, partial.current_delta_tp(), partial.p_min)
+        # a sure MEC with a held record's key holds that record's states
+        fresh = find_delta_sure_mecs(partial.stay_of, partial.available, partial.post, partial.sure_ec_need())
         partial.reconcile_mecs(fresh)
         _vi_phase(partial)
         low = partial.L[oracle.init]

@@ -121,10 +121,9 @@ def frozen_partial(
     for t in pseudo:
         low, up = PSEUDO_STATE_VALUES[t]
         partial.L[t], partial.U[t] = low, up
-        partial.mecs.append(
+        partial.adopt_looping_record(
             MecRecord(states=frozenset({t}), actions={t: frozenset({"loop"})}, gain_lower=low, gain_upper=up)
         )
-    partial.rebuild_stay_of()
     return partial
 
 

@@ -8,9 +8,10 @@ and written to the partial model's dicts. deflate clamps one MEC at a time,
 ranking its exits with best_leaving_action, where the value-iteration phase
 clamps every MEC at once. looping_whole_path is the loop check over the
 kept pairs of every state on the path, where looping reads only those
-reachable from the revisited state. record_step counts one sampled step,
-as the episode and the MEC walk do in their own loops. ctmdp_mec_gain is the gain
-of a chain with known stationary frequencies and rates, and
+reachable from the revisited state. whole_graph_sure_mecs decomposes
+every kept pair, where find_delta_sure_mecs reads only what its sources
+reach. record_step counts one sampled step, as the episode and the MEC
+walk do in their own loops. ctmdp_mec_gain is the gain of a chain with known stationary frequencies and rates, and
 stationary_distribution gives those frequencies for an irreducible chain.
 chernoff_log_term and chernoff_minimizers give the dwell-time Chernoff
 bound's log terms and their closed-form minimizers. model_graph is the
@@ -29,7 +30,7 @@ import numpy as np
 from mppac.graph import ClosedMec, MecRecord, _sccs, best_leaving_action, is_delta_sure_ec, mec_decomposition
 from mppac.learn_mdp import PartialModel, _estimates, _mec_action_values, _movement, _sweep_once
 from mppac.model import CTMDP, MDP, ExplicitModel, ModelError
-from mppac.stats import ec_required_samples, tp_width
+from mppac.stats import tp_width
 
 POLICY_LIMIT = 300_000  # most positional policies enumerate_policies_gain tries
 
@@ -110,12 +111,11 @@ def deflate(M: MecRecord, partial: PartialModel) -> float:
     return moved
 
 
-def looping_whole_path(path, s: int, partial: PartialModel, delta_tp: float, p_min: float):
+def looping_whole_path(path, s: int, partial: PartialModel, need: int):
     """The MEC containing s among the kept pairs of every state on the path
-    (successors on the path, count at the gate), if it passes the strict
+    (successors on the path, count at least need), if it passes the strict
     sure-EC gate; else None."""
     px = set(path)
-    need = ec_required_samples(delta_tp, p_min)
     graph = {}
     for q in sorted(px):
         for a in partial.available[q]:
@@ -124,9 +124,14 @@ def looping_whole_path(path, s: int, partial: PartialModel, delta_tp: float, p_m
                 graph[(q, a)] = frozenset(ts)
     for m in mec_decomposition(graph):
         if s in m.states:
-            own = {(q, a): partial.post[(q, a)] for q in m.states for a in partial.available[q]}
-            return m if is_delta_sure_ec(m.states, own, delta_tp, p_min) else None
+            return m if is_delta_sure_ec(m.states, partial.available, partial.post, need) else None
     return None
+
+
+def whole_graph_sure_mecs(post, need: int) -> list[MecRecord]:
+    """MECs of the whole observed graph post ((s,a) -> {successor: count})
+    after deleting every pair sampled fewer than need times."""
+    return mec_decomposition({sa: ts for sa, ts in post.items() if sum(ts.values()) >= need})
 
 
 def record_step(partial: PartialModel, s: int, a: str, t: int, dwell: float | None) -> None:

@@ -167,22 +167,23 @@ def test_sure_ec_boundary_at_required_samples():
     T = {0, 1}
     need = ec_required_samples(0.1, 0.1)
     assert need == 22
-    assert is_delta_sure_ec(T, {(0, "a"): {1: 22}, (1, "a"): {0: 22}}, 0.1, 0.1)
-    assert not is_delta_sure_ec(T, {(0, "a"): {1: 22}, (1, "a"): {0: 21}}, 0.1, 0.1)
+    available = {0: ("a",), 1: ("a",)}
+    assert is_delta_sure_ec(T, available, {(0, "a"): {1: 22}, (1, "a"): {0: 22}}, need)
+    assert not is_delta_sure_ec(T, available, {(0, "a"): {1: 22}, (1, "a"): {0: 21}}, need)
 
 
 def test_sure_ec_ignores_leaving_pairs():
     # the under-sampled action observably leaves T, so it cannot hide mass
     T = {0}
     post = {(0, "stay"): {0: 50}, (0, "out"): {0: 1, 5: 1}}
-    assert is_delta_sure_ec(T, post, 0.1, 0.1)
+    assert is_delta_sure_ec(T, {0: ("stay", "out")}, post, 22)
 
 
 def test_sure_ec_blocks_on_unsampled_action():
     # an unsampled action has an empty observed post, which trivially stays
     T = {0}
     post = {(0, "a"): {0: 100}, (0, "b"): {}}
-    assert not is_delta_sure_ec(T, post, 0.1, 0.1)
+    assert not is_delta_sure_ec(T, {0: ("a", "b")}, post, 22)
 
 
 def test_find_sure_mecs_filters_under_sampled_rows():
@@ -195,22 +196,36 @@ def test_find_sure_mecs_filters_under_sampled_rows():
         rewards={0: 1.0, 1: 0.0, 2: 0.0},
         p_min=0.1,
     )
-    mecs = find_delta_sure_mecs(partial.post, 0.1, 0.1)
+    mecs = find_delta_sure_mecs(partial.available, partial.available, partial.post, 22)
     assert [m.states for m in mecs] == [frozenset({0, 1})]
+
+
+def test_find_sure_mecs_reads_only_what_the_sources_reach():
+    # the cycle 0-1 is sure, but neither source reaches it over kept pairs:
+    # 2 only reaches itself, and 3's pair into the cycle is under-sampled
+    partial = frozen_partial(
+        {(0, "a", 1): 30, (1, "a", 0): 30, (2, "a", 2): 30, (3, "a", 0): 5, (3, "b", 3): 30},
+        rewards=dict.fromkeys(range(4), 0.0),
+        p_min=0.1,
+    )
+    sure = find_delta_sure_mecs([2, 3], partial.available, partial.post, 22)
+    assert [m.states for m in sure] == [frozenset({2}), frozenset({3})]
+    sure = find_delta_sure_mecs([1], partial.available, partial.post, 22)
+    assert [m.states for m in sure] == [frozenset({0, 1})]
 
 
 def test_find_sure_mecs_empty_before_sampling():
     partial = frozen_partial({}, rewards={})
-    assert find_delta_sure_mecs(partial.post, 0.1, 0.1) == []
+    assert find_delta_sure_mecs([], partial.available, partial.post, 22) == []
 
 
 def test_find_sure_mecs_grows_with_counts():
     # adding samples can only add sure MECs, never remove them
     triples = {(0, "a", 1): 22, (1, "a", 0): 22, (2, "a", 2): 21}
     partial = frozen_partial(triples, rewards={0: 0.0, 1: 0.0, 2: 1.0}, p_min=0.1)
-    before = {frozenset(m.states) for m in find_delta_sure_mecs(partial.post, 0.1, 0.1)}
+    before = {frozenset(m.states) for m in find_delta_sure_mecs([0, 1, 2], partial.available, partial.post, 22)}
     partial.post[(2, "a")][2] = 22
-    after = {frozenset(m.states) for m in find_delta_sure_mecs(partial.post, 0.1, 0.1)}
+    after = {frozenset(m.states) for m in find_delta_sure_mecs([0, 1, 2], partial.available, partial.post, 22)}
     assert before <= after
     assert frozenset({2}) in after - before
 

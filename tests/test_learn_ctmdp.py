@@ -222,7 +222,7 @@ def test_learner_bounds_mec_gains_by_the_full_sweep(succ):
     (M, partial, _, beta, _), _ = _worked_case(succ)
     delta_tp = partial.current_delta_tp()
     alpha_r = achieved_rate_alpha(1000, delta_tp)
-    bounds = _bound_mec_gain_ctmdp(M, partial, LearnerConfig(), beta)
+    bounds = _bound_mec_gain_ctmdp(M, partial, beta)
     assert bounds == find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp)
 
 
@@ -344,8 +344,7 @@ def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
         ctmdp=True,
     )
     M = _cycle_mec()
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     oracle = SampleOracle(cycle_rates, BLACKBOX, rng_seed=0)
     out = _refine_mec_ctmdp(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0, deadline=math.inf)
     assert out is None

@@ -32,6 +32,7 @@ from mppac import (
     learner_rng,
     load_model,
     looping,
+    mec_decomposition,
     mec_value_iteration,
     on_demand_bvi,
     on_demand_bvi_ctmdp,
@@ -51,7 +52,15 @@ from mppac.learn_mdp import (
 from mppac.stats import tp_width
 
 from .conftest import frozen_partial, random_mdp_graph
-from .reference import bellman_blackbox, bellman_greybox, deflate, global_update, looping_whole_path, record_step
+from .reference import (
+    bellman_blackbox,
+    bellman_greybox,
+    deflate,
+    global_update,
+    looping_whole_path,
+    record_step,
+    whole_graph_sure_mecs,
+)
 from .test_golden_traces import layered_model, random5_x3
 
 # ---------------------------------------------------------------------------
@@ -249,13 +258,12 @@ def _swept_partials(draw):
         size = draw(st.integers(1, cut))
         states, order, cut = order[:size], order[size:], cut - size
         low, up = sorted((draw(unit), draw(unit)))
-        partial.mecs.append(MecRecord(
+        partial.adopt_looping_record(MecRecord(
             states=frozenset(states),
             actions={q: frozenset(partial.available[q]) for q in states},
             gain_lower=low,
             gain_upper=up,
         ))
-    partial.rebuild_stay_of()
     return partial, draw(st.sampled_from([BLACKBOX_UPDATES, GREYBOX_UPDATES]))
 
 
@@ -263,10 +271,9 @@ def _stay_above_every_row():
     # a stay whose gains exceed both values of the state's only row
     partial = frozen_partial({(0, "a", 0): 10}, rewards={0: 1.0})
     partial.L[0], partial.U[0] = 0.1, 0.2
-    partial.mecs.append(
+    partial.adopt_looping_record(
         MecRecord(states=frozenset({0}), actions={0: frozenset({"a"})}, gain_lower=0.8, gain_upper=0.9)
     )
-    partial.rebuild_stay_of()
     return partial, BLACKBOX_UPDATES
 
 
@@ -313,7 +320,7 @@ def test_looping_confirms_a_fully_sampled_cycle():
         rewards={1: 1.0, 2: 0.0},
         p_min=0.1,
     )
-    rec = looping([1, 2, 1, 2, 1], 1, partial, delta_tp=0.1, p_min=0.1)
+    rec = looping([1, 2, 1, 2, 1], 1, partial, 22)
     assert rec is not None
     assert rec.states == frozenset({1, 2})
     assert rec.actions == {1: frozenset({"a"}), 2: frozenset({"b"})}
@@ -325,7 +332,7 @@ def test_looping_rejects_an_under_sampled_cycle():
         rewards={1: 1.0, 2: 0.0},
         p_min=0.1,
     )
-    assert looping([1, 2, 1, 2, 1], 1, partial, 0.1, 0.1) is None
+    assert looping([1, 2, 1, 2, 1], 1, partial, 22) is None
 
 
 def test_looping_ignores_states_outside_the_path():
@@ -335,7 +342,7 @@ def test_looping_ignores_states_outside_the_path():
         rewards={1: 0.0, 9: 0.0},
         p_min=0.1,
     )
-    assert looping([1, 1, 1], 1, partial, 0.1, 0.1) is None
+    assert looping([1, 1, 1], 1, partial, 22) is None
 
 
 def test_looping_rejects_transient_states():
@@ -344,7 +351,7 @@ def test_looping_rejects_transient_states():
         rewards={0: 0.0, 1: 0.0, 2: 0.0},
         p_min=0.1,
     )
-    assert looping([0, 0, 0], 0, partial, 0.1, 0.1) is None
+    assert looping([0, 0, 0], 0, partial, 22) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -360,8 +367,8 @@ def test_looping_finds_what_the_whole_path_check_finds(seed):
     s = int(rng.choice(states))
     path = [s, *(q for q in states if rng.random() < 0.7), s]
     rng.shuffle(path)
-    got = looping(path, s, partial, 0.1, 0.1)
-    want = looping_whole_path(path, s, partial, 0.1, 0.1)
+    got = looping(path, s, partial, 22)
+    want = looping_whole_path(path, s, partial, 22)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.key() == want.key()
@@ -374,9 +381,8 @@ def test_adopt_drops_overlapping_stale_records():
         p_min=0.1,
     )
     stale = MecRecord(states=frozenset({1}), actions={1: frozenset({"a"})})
-    partial.mecs.append(stale)
-    partial.rebuild_stay_of()
-    fresh = looping([1, 2, 1, 2, 1], 1, partial, 0.1, 0.1)
+    partial.adopt_looping_record(stale)
+    fresh = looping([1, 2, 1, 2, 1], 1, partial, 22)
     partial.adopt_looping_record(fresh)
     assert stale not in partial.mecs
     assert fresh in partial.mecs
@@ -394,10 +400,10 @@ def _sure_cycle_partial(extra=None):
 
 
 def _reconcile(partial):
-    fresh = find_delta_sure_mecs(partial.post, partial.current_delta_tp(), partial.p_min)
-    assert fresh, "the cycle must be a sure MEC"
-    partial.reconcile_mecs(fresh)
-    return fresh
+    # the round end's search, which starts from the held records' states
+    need = partial.sure_ec_need()
+    assert whole_graph_sure_mecs(partial.post, need), "the cycle must be a sure MEC"
+    partial.reconcile_mecs(find_delta_sure_mecs(partial.stay_of, partial.available, partial.post, need))
 
 
 def test_reconcile_keeps_the_stay_of_an_unchanged_mec():
@@ -439,6 +445,63 @@ def test_reconcile_gives_no_stay_to_an_unconfirmed_sure_mec():
     _vi_phase(partial)
     # without a stay, the closed cycle keeps its vacuous upper bound
     assert (partial.L[1], partial.U[1]) == (0.0, 1.0)
+
+
+def _held_records(graph, kept, sure, rng) -> list[MecRecord]:
+    """Disjoint records to hold. Per sure MEC M (of the kept pairs), half the
+    time an end component inside M without one of its states, which is no
+    MEC; else M with one more action of one of its states, M itself, or
+    nothing. Then one-state records on half the states no record holds,
+    with their kept self-loops where they have some."""
+    held = []
+    for M in sure:
+        kind = rng.integers(6)
+        extra = [(q, a) for q, a in graph if q in M.states and a not in M.actions[q]]
+        subs = []
+        if kind < 3:
+            for cut in rng.permutation(sorted(M.states)).tolist():
+                states = M.states - {cut}
+                subs = mec_decomposition({(q, a): kept[(q, a)] for q in states for a in M.actions[q]})
+                if subs:
+                    break
+        if subs:
+            held.append(subs[int(rng.integers(len(subs)))])
+        elif kind == 3 and extra:
+            q, a = extra[int(rng.integers(len(extra)))]
+            held.append(MecRecord(M.states, {**M.actions, q: M.actions[q] | {a}}))
+        elif kind != 5:
+            held.append(MecRecord(M.states, dict(M.actions)))
+    covered = {q for m in held for q in m.states}
+    for q in sorted({q for q, _ in graph} - covered):
+        if rng.random() < 0.5:
+            loops = frozenset(a for p, a in kept if p == q and kept[(p, a)] == {q})
+            held.append(MecRecord(frozenset({q}), {q: loops or frozenset({"a"})}))
+    return held
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(2)  # holds an end component inside a MEC, kept by a search of its own states' pairs alone
+@example(13)
+def test_reconcile_keeps_what_the_whole_graph_search_keeps(seed):
+    # per-successor counts around a random gate keep some pairs and drop
+    # others; the round end searches only what the held records' states
+    # reach, and must keep the records whose keys are MECs of the whole
+    # kept graph
+    rng = np.random.default_rng(seed)
+    graph = random_mdp_graph(rng, max_states=6)
+    need = int(rng.integers(1, 30))
+    triples = {(q, a, t): int(rng.integers(1, 2 * need + 1)) for (q, a), ts in graph.items() for t in ts}
+    partial = frozen_partial(triples, rewards=dict.fromkeys((q for q, _ in graph), 0.0))
+    kept = {sa: ts.keys() for sa, ts in partial.post.items() if sum(ts.values()) >= need}
+    sure = whole_graph_sure_mecs(partial.post, need)
+    held = _held_records(graph, kept, sure, rng)
+    want = {m.key() for m in sure}
+    for rec in held:
+        partial.adopt_looping_record(rec)
+    partial.reconcile_mecs(find_delta_sure_mecs(partial.stay_of, partial.available, partial.post, need))
+    assert partial.mecs == [m for m in held if m.key() in want]
+    assert partial.stay_of == {q: m for m in partial.mecs for q in m.states}
 
 
 @pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "cycle_rates.ctmdp"])
@@ -506,14 +569,16 @@ def _memos_match_a_fresh_memo(partial):
 
 @pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "layered"])
 def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
-    # adopting a looping record and refitting a record clear only the memo
-    # entries of the records they adopt, refit or drop, and an episode only
-    # the leaving actions of records whose pairs gained a successor; a VI
-    # phase clears all
+    # adopting a looping record, refitting a record and reconciling the held
+    # records clear only the memo entries of the records they adopt, refit or
+    # drop, and an episode only the leaving actions of records whose pairs
+    # gained a successor; a VI phase clears all
     import mppac.learn_mdp as learn_mdp
 
-    calls = {"adopt": 0, "refine": 0, "vi": 0, "episode": 0}
+    calls = {"adopt": 0, "refine": 0, "reconcile": 0, "vi": 0, "episode": 0}
+    dropped = []
     adopt = PartialModel.adopt_looping_record
+    reconcile = PartialModel.reconcile_mecs
     refine = learn_mdp.update_mec_value
     vi_phase = learn_mdp._vi_phase
     episode = learn_mdp.simulate_episode
@@ -535,22 +600,34 @@ def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
         _memos_match_a_fresh_memo(partial)
         return out
 
+    def checked_reconcile(partial, fresh):
+        held = list(partial.mecs)
+        reconcile(partial, fresh)
+        calls["reconcile"] += 1
+        dropped.extend(m for m in held if m not in partial.mecs)
+        _memos_match_a_fresh_memo(partial)
+
     def checked_vi_phase(partial):
         vi_phase(partial)
         calls["vi"] += 1
         _memos_match_a_fresh_memo(partial)
 
     monkeypatch.setattr(PartialModel, "adopt_looping_record", checked_adopt)
+    monkeypatch.setattr(PartialModel, "reconcile_mecs", checked_reconcile)
     monkeypatch.setattr(learn_mdp, "update_mec_value", checked_refine)
     monkeypatch.setattr(learn_mdp, "_vi_phase", checked_vi_phase)
     monkeypatch.setattr(learn_mdp, "simulate_episode", checked_episode)
-    if model_file == "layered":  # one-state sinks under a small layered fragment
-        model, info, style = layered_model(layers=3, width=12), GREYBOX, GREYBOX_UPDATES
+    if model_file == "layered":
+        # one-state sinks of the 1,001-state layered model; the gate's need
+        # grows with the discovered pairs, so the round end drops some
+        model, info, style = layered_model(), GREYBOX, GREYBOX_UPDATES
     else:
         model, info, style = load_model(models_dir / model_file), BLACKBOX, BLACKBOX_UPDATES
     config = LearnerConfig(seed=1, epsilon_mp=0.1, episodes_per_round=500, update_style=style, timeout_s=60.0)
     on_demand_bvi(SampleOracle(model, info, rng_seed=1), config)
     assert all(calls.values()), calls
+    if model_file == "layered":
+        assert dropped
 
 
 def test_adopting_a_record_clears_the_memos_of_the_records_it_drops():
@@ -564,8 +641,8 @@ def test_adopting_a_record_clears_the_memos_of_the_records_it_drops():
     # a stay with lower value 1 wins the choice wherever it is attached
     dropped = MecRecord(frozenset({1, 4}), {1: frozenset({"loop"}), 4: frozenset({"ret"})}, 1.0, 1.0)
     other = MecRecord(frozenset({3}), {3: frozenset({"x"})}, 1.0, 1.0)
-    partial.mecs = [dropped, other]
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(dropped)
+    partial.adopt_looping_record(other)
     for s in partial.available:
         _choose_action(s, partial, _FixedDraw(0.0))
     assert partial._choice_cache[4] == (STAY,)
@@ -850,8 +927,7 @@ def test_update_mec_value_converges_on_the_cycle(cycle_entry, monkeypatch):
     monkeypatch.setattr(learn_mdp, "INITIAL_MEC_SAMPLES", 1000)
     partial = _cycle_partial()
     M = _cycle_record()
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=1)
     rng = learner_rng(1)
     config = LearnerConfig()
@@ -867,8 +943,7 @@ def test_update_mec_value_converges_on_the_cycle(cycle_entry, monkeypatch):
 def test_update_mec_value_skips_sampling_below_target_width(cycle_entry):
     partial = _cycle_partial()
     M = _cycle_record(gain_lower=0.499, gain_upper=0.501)
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=1)
     before = copy.deepcopy(partial.post)
     out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(1), start=1, deadline=math.inf)
@@ -897,8 +972,7 @@ def test_update_mec_value_drops_record_on_escape(random5):
         states=frozenset({1, 2}),
         actions={1: frozenset({"x", "y"}), 2: frozenset({"x"})},
     )
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     oracle = SampleOracle(random5, BLACKBOX, rng_seed=5)
     out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(5), start=1, deadline=math.inf)
     assert out is None
@@ -919,8 +993,7 @@ def test_update_mec_value_drops_a_record_whose_pair_was_seen_leaving(cycle_entry
         states=frozenset({0, 1}),
         actions={0: frozenset({"a"}), 1: frozenset({"b"})},
     )
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     oracle = SampleOracle(cycle_entry, BLACKBOX, rng_seed=0)
     out = update_mec_value(M, oracle, partial, LearnerConfig(), learner_rng(0), start=0, deadline=math.inf)
     assert out is None
@@ -948,8 +1021,7 @@ def test_deflate_clamps_to_best_leaving_upper():
         gain_lower=0.0,
         gain_upper=0.4,
     )
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     moved = deflate(M, partial)
     assert moved == pytest.approx(0.3)
     assert partial.U[1] == pytest.approx(0.7)
@@ -965,8 +1037,7 @@ def test_deflate_never_raises_values():
     partial.U[1] = 0.5
     partial.act_U[(1, "out")] = 0.9
     M = MecRecord(states=frozenset({1}), actions={1: frozenset({"a"})})
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     assert deflate(M, partial) == 0.0
     assert partial.U[1] == 0.5
 
@@ -980,8 +1051,7 @@ def test_deflate_closed_mec_uses_the_stay_gain():
         gain_lower=0.3,
         gain_upper=0.3,
     )
-    partial.mecs.append(M)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(M)
     moved = deflate(M, partial)
     assert moved == pytest.approx(0.7)
     assert partial.U[1] == pytest.approx(0.3)
@@ -1046,8 +1116,7 @@ def test_stay_participates_in_the_choice():
         gain_lower=0.8,
         gain_upper=0.9,
     )
-    partial.mecs.append(rec)
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(rec)
     assert _choose_action(0, partial, learner_rng(0)) == STAY
 
 
@@ -1076,11 +1145,12 @@ def _leaving_partial():
         p_min=1.0,
     )
     partial.act_U.update({(0, "x"): 0.1, (0, "y"): 0.8, (1, "z"): 0.5})
-    partial.mecs = [
-        MecRecord(states=frozenset({0}), actions={0: frozenset({"x"})}, gain_lower=0.2, gain_upper=0.3),
-        MecRecord(states=frozenset({1}), actions={1: frozenset({"z"})}, gain_lower=0.9, gain_upper=0.95),
-    ]
-    partial.rebuild_stay_of()
+    partial.adopt_looping_record(
+        MecRecord(states=frozenset({0}), actions={0: frozenset({"x"})}, gain_lower=0.2, gain_upper=0.3)
+    )
+    partial.adopt_looping_record(
+        MecRecord(states=frozenset({1}), actions={1: frozenset({"z"})}, gain_lower=0.9, gain_upper=0.95)
+    )
     return partial
 
 

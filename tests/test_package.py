@@ -60,6 +60,29 @@ def test_exports_only_what_a_run_executes():
     assert sorted(set(mppac.__all__) - used) == []
 
 
+def test_modules_read_every_name_they_import():
+    # an import that nothing reads is dead code, or a binding kept for
+    # someone else, which is marked "# noqa: F401" and says for whom
+    unused = []
+    for path in sorted((ROOT / "src" / "mppac").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_knob_inventory():
     # every setting doubles the configurations that tests and the benchmark
     # must cover: a new one is added here on purpose, with a caller that
