@@ -11,7 +11,7 @@ meet from the caller, so this module needs no statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Label of the synthetic stay action attached to confirmed MECs. '~' sorts
 # after alphanumerics, so label tie-breaks prefer real actions over stay.
@@ -30,12 +30,14 @@ class ClosedMec(Exception):
 
 @dataclass
 class MecRecord:
-    """A candidate maximal end component and what is known about its gain."""
+    """A candidate maximal end component, what is known about its gain, and
+    the learner's memo of its best leaving action, which equality ignores."""
 
     states: frozenset[int]
     actions: dict[int, frozenset[str]]  # retained staying actions per state
     gain_lower: float = 0.0  # scaled to [0,1] by the learner's r_max_seen
     gain_upper: float = 1.0
+    leave: tuple | None = field(default=None, compare=False, repr=False)
 
     def key(self) -> tuple:
         """Identity of the record: exact state and action sets."""

@@ -88,18 +88,21 @@ class LearnerConfig:
 class BoundsReport:
     """Anytime output: per-round trace rows and the final PAC interval."""
 
-    trace: list  # (time_s, episodes, lower, upper); bounds scaled to [0,1]
+    trace: list  # (time_s, episodes, lower, upper) per round; bounds scaled to [0,1]
     final: tuple  # (lower_mp, upper_mp) in reward units
     certified_inconfidence: float
     r_max_seen: float
-    episodes: int
-    rounds: int
+    episodes: int  # completed episodes
     wall_seconds: float
-    timed_out: bool
+    timed_out: bool  # the deadline had passed by the end of the last round
 
     @property
     def width(self) -> float:
         return self.final[1] - self.final[0]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.trace)
 
 
 class PartialModel:
@@ -128,27 +131,24 @@ class PartialModel:
         # greedy-choice memo: a state's argmax list reads only its own pairs'
         # act_L/act_U and the gains of its own stay record
         self._choice_cache: dict[int, tuple] = {}
-        # leaving_action memo per stay record (by id); it reads its own
-        # states' values and their observed successors, so an episode pops a
-        # record's entry when a pair of one of its states gains a successor
-        self._leave_cache: dict[int, tuple[int, str]] = {}
 
     def invalidate_choices(self) -> None:
         """Anything that moves act_L/act_U or replaces the held records must
-        call this. Both memos are cleared in place: an episode holds them."""
+        call this. It clears the choice memo in place (an episode holds it)
+        and every held record's leaving-action memo."""
         self._choice_cache.clear()
-        self._leave_cache.clear()
+        for m in self.mecs:
+            m.leave = None
 
     def forget(self, records) -> None:
-        """Clear the memo entries that read these records: their states'
-        choices and their leaving actions. A record whose gains move, or
-        that is adopted or dropped, must pass through here; a dropped
-        record's id may be reused by a later record."""
+        """Clear the memos that read these records: their states' choices
+        and their own leaving actions. A record whose gains move, or that is
+        adopted or dropped, must pass through here."""
         choices = self._choice_cache
         for rec in records:
             for s in rec.states:
                 choices.pop(s, None)
-            self._leave_cache.pop(id(rec), None)
+            rec.leave = None
 
     # -- discovery and counting ---------------------------------------
 
@@ -195,14 +195,12 @@ class PartialModel:
         return n, tuple((t, c / n) for t, c in sorted(succ.items()))
 
     def leaving_action(self, rec: MecRecord) -> tuple[int, str]:
-        """best_leaving_action of a stay record at the current values and
-        observed successors."""
-        leave = self._leave_cache.get(id(rec))
-        if leave is None:
-            leave = self._leave_cache[id(rec)] = best_leaving_action(
-                rec, _mec_action_values(self, rec), self.available, self.post
-            )
-        return leave
+        """best_leaving_action of a held stay record at the current values
+        and observed successors, memoized in rec.leave: an episode resets it
+        when a pair of one of the record's states gains a successor."""
+        if rec.leave is None:
+            rec.leave = best_leaving_action(rec, _mec_action_values(self, rec), self.available, self.post)
+        return rec.leave
 
     def scaled_reward(self, s: int) -> float:
         if self.r_max_seen <= 0.0:
@@ -558,7 +556,6 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
     # this loop dominates learning time, so the common step (a cached greedy
     # choice of a real action) inlines _choose_action and the step's record
     choice_of = partial._choice_cache.get
-    leaves = partial._leave_cache
     post = partial.post
     dwell_sum = partial.dwell_sum
     sample = oracle.sample_step
@@ -591,7 +588,7 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
             # only the leaving action of the record holding s reads this pair
             rec = partial.stay_of.get(s)
             if rec is not None:
-                leaves.pop(id(rec), None)
+                rec.leave = None
         else:
             succ[t] = c + 1
         if dwell is not None:
@@ -817,29 +814,22 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         info_level=oracle.info_level,
         ctmdp=oracle.kind == CTMDP,
     )
-    partial.discover(oracle.init, oracle)
     trace: list[tuple[float, int, float, float]] = []
-    episodes = 0
-    rounds = 0
+    episodes = 0  # completed ones: an episode cut by the deadline ends the round uncounted
     timed_out = False
 
-    while True:
-        rounds += 1
-        refined: set[int] = set()
+    while not timed_out:
+        refined: dict[int, MecRecord] = {}  # holds each record, so no id in it is reused
         for _ in range(config.episodes_per_round):
-            if time.monotonic() >= deadline:
-                timed_out = True
-                break
             path = simulate_episode(oracle, partial, rng, deadline)
-            episodes += 1
             last = path[-1]
             if last not in TERMINALS:  # only the deadline cuts an episode short
-                timed_out = True
                 break
+            episodes += 1
             if last in (PLUS, UNKNOWN):
                 rec = partial.stay_of.get(path[-2])
                 if rec is not None and id(rec) not in refined:
-                    refined.add(id(rec))
+                    refined[id(rec)] = rec
                     if _needs_refinement(rec, partial, config):
                         refine(rec, oracle, partial, config, rng, path[-2], deadline)
 
@@ -850,12 +840,8 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         low = partial.L[oracle.init]
         up = partial.U[oracle.init]
         trace.append((oracle.steps_sampled * VIRTUAL_STEP_SECONDS, episodes, low, up))
-        if timed_out:
-            break
+        timed_out = time.monotonic() >= deadline
         if not config.anytime and up - low < _termination_width(partial, config):
-            break
-        if time.monotonic() >= deadline:
-            timed_out = True
             break
 
     r_max = partial.r_max_seen
@@ -865,7 +851,6 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         certified_inconfidence=min(1.0, config.delta_mp + partial.surcharge()),
         r_max_seen=r_max,
         episodes=episodes,
-        rounds=rounds,
         wall_seconds=time.monotonic() - t0,
         timed_out=timed_out,
     )

@@ -445,6 +445,8 @@ def test_interrupted_runs_stay_well_formed(models_dir, timeout_s):
     # a run finishes its round's VI phase after the deadline: the stated overshoot
     assert report.wall_seconds <= timeout_s + 2.0
     assert report.trace
+    assert report.episodes == report.trace[-1][1]
+    assert report.rounds == len(report.trace)
     low, up = report.final
     assert 0.0 <= low <= up <= report.r_max_seen + 1e-9
     assert report.certified_inconfidence == pytest.approx(config.delta_mp)

@@ -392,7 +392,7 @@ def test_run_one_respects_learner_config(models_dir):
 # scripts
 
 
-@pytest.mark.parametrize("script", ["convergence_plot.py", "coverage_study.py", "golden_traces.py"])
+@pytest.mark.parametrize("script", ["bench_pairs.py", "convergence_plot.py", "coverage_study.py", "golden_traces.py"])
 def test_script_help_runs_from_a_checkout_without_pythonpath(script, tmp_path):
     # each script finds the package in the checkout's src/ by itself
     path = Path(__file__).resolve().parent.parent / "scripts" / script

@@ -556,23 +556,19 @@ def _memos_match_a_fresh_memo(partial):
             assert partial._choice_cache[s] == labels, s
     finally:
         partial._choice_cache = memo
-    # a dropped record's id may be reused, so no entry may outlive its record
-    held = {id(m): m for m in partial.mecs}
-    assert partial._leave_cache.keys() <= held.keys()
-    memo, partial._leave_cache = partial._leave_cache, {}
-    try:
-        for key, leave in memo.items():
-            assert partial.leaving_action(held[key]) == leave, sorted(held[key].states)
-    finally:
-        partial._leave_cache = memo
+    for m in partial.mecs:
+        memo, m.leave = m.leave, None
+        if memo is not None:
+            assert partial.leaving_action(m) == memo, sorted(m.states)
 
 
-@pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "layered"])
+@pytest.mark.parametrize("model_file", ["random5.mdp", "cycle_entry.mdp", "two_mec.mdp", "layered", "late-exit"])
 def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
     # adopting a looping record, refitting a record and reconciling the held
     # records clear only the memo entries of the records they adopt, refit or
     # drop, and an episode only the leaving actions of records whose pairs
-    # gained a successor; a VI phase clears all
+    # gained a successor; a VI phase clears all. Only late-exit has a held
+    # record's retained pair leave it after its leaving action was memoized.
     import mppac.learn_mdp as learn_mdp
 
     calls = {"adopt": 0, "refine": 0, "reconcile": 0, "vi": 0, "episode": 0}
@@ -617,14 +613,17 @@ def test_scoped_memo_clears_stay_exact(models_dir, monkeypatch, model_file):
     monkeypatch.setattr(learn_mdp, "update_mec_value", checked_refine)
     monkeypatch.setattr(learn_mdp, "_vi_phase", checked_vi_phase)
     monkeypatch.setattr(learn_mdp, "simulate_episode", checked_episode)
+    style = BLACKBOX_UPDATES
     if model_file == "layered":
         # one-state sinks of the 1,001-state layered model; the gate's need
         # grows with the discovered pairs, so the round end drops some
-        model, info, style = layered_model(), GREYBOX, GREYBOX_UPDATES
+        oracle, style = SampleOracle(layered_model(), GREYBOX, rng_seed=1), GREYBOX_UPDATES
+    elif model_file == "late-exit":
+        oracle = _LateExitOracle()
     else:
-        model, info, style = load_model(models_dir / model_file), BLACKBOX, BLACKBOX_UPDATES
+        oracle = SampleOracle(load_model(models_dir / model_file), BLACKBOX, rng_seed=1)
     config = LearnerConfig(seed=1, epsilon_mp=0.1, episodes_per_round=500, update_style=style, timeout_s=60.0)
-    on_demand_bvi(SampleOracle(model, info, rng_seed=1), config)
+    on_demand_bvi(oracle, config)
     assert all(calls.values()), calls
     if model_file == "layered":
         assert dropped
@@ -653,7 +652,7 @@ def test_adopting_a_record_clears_the_memos_of_the_records_it_drops():
     partial.adopt_looping_record(adopted)
     assert partial.mecs == [other, adopted]
     _memos_match_a_fresh_memo(partial)
-    assert 3 in partial._choice_cache and id(other) in partial._leave_cache
+    assert 3 in partial._choice_cache and other.leave is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1205,8 +1204,8 @@ def test_a_new_successor_forgets_only_its_own_records_leaving_action():
     assert partial.leaving_action(at_1) == (1, STAY)
     path = simulate_episode(oracle, partial, learner_rng(0), math.inf)
     assert path[:-1] == [0, 1] and path[-1] in TERMINALS
-    assert id(at_0) not in partial._leave_cache
-    assert partial._leave_cache[id(at_1)] == (1, STAY)
+    assert at_0.leave is None
+    assert at_1.leave == (1, STAY)
     assert partial.leaving_action(at_0) == (0, "y")
 
 
@@ -1221,6 +1220,23 @@ class _CycleOracle(_ScriptedOracle):
         return 1 - s, None
 
 
+class _LateExitOracle(_ScriptedOracle):
+    """Blackbox MDP oracle whose state 0 loops by a for its first LOOPS
+    steps and then moves to the sink 2. At p_min 1 the gate confirms the
+    loop on 0 at its first check, the second episode memoizes that record's
+    leaving action (its stay), and the third sees its retained pair reach 2
+    and then ends in a stay on 2, with the record on 0 still held."""
+
+    LOOPS = 10
+
+    def __init__(self):
+        super().__init__({0: ("a",), 2: ("c",)}, {})
+
+    def sample_step(self, s, a):
+        self.steps_sampled += 1
+        return 0 if s == 0 and self.steps_sampled <= self.LOOPS else 2, None
+
+
 def test_an_endless_episode_stops_at_its_deadline():
     # at this p_min no pair meets the sure-EC gate, so the loop check never
     # confirms the cycle and only the deadline, read every 64th step, ends it
@@ -1230,6 +1246,18 @@ def test_an_endless_episode_stops_at_its_deadline():
     assert time.monotonic() - deadline < 0.05
     assert path[-1] not in TERMINALS
     assert len(path) > 64
+
+
+def test_a_round_cut_in_its_first_episode_counts_no_episode():
+    # no loop is ever confirmed at this p_min, so the deadline cuts the first
+    # episode; the cut episode is not counted, and its round still ends with
+    # a VI phase and a trace row
+    oracle = _CycleOracle()
+    oracle.p_min = 1e-12
+    report = on_demand_bvi(oracle, LearnerConfig(timeout_s=0.05))
+    assert report.timed_out
+    assert report.episodes == 0
+    assert report.rounds == len(report.trace) == 1
 
 
 @pytest.mark.parametrize(

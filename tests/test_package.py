@@ -147,3 +147,17 @@ def test_benchmark_run_is_correct(workload, trace):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stdout
+
+
+def test_bench_pairs_compares_two_checkouts():
+    # one walk-ctmdp pair with this checkout as both sides: every end-to-end
+    # metric of BENCHMARK.json gets its report line
+    argv = ["scripts/bench_pairs.py", "--parent", ".", "--change", ".", "--workload", "walk-ctmdp", "--seed", "1",
+            "--pairs", "1", "--seconds", "0"]
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in spec["end_to_end"]:
+        assert f"\n{metric['name']}: parent median " in done.stdout, done.stdout
+    # oracle steps are deterministic per seed, so the same code ties
+    assert "change won 0/1, median +0.0% (within the 15% bound) count" in done.stdout, done.stdout
