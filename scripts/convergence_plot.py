@@ -18,10 +18,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from mppac.cli import MODES, RunConfig, _run_one, _write_svg  # noqa: E402
+from mppac.cli import MODES, _run_one, _write_svg  # noqa: E402
 from mppac.learn_mdp import LearnerConfig  # noqa: E402
 from mppac.model import load_model  # noqa: E402
-from mppac.whitebox import exact_mean_payoff  # noqa: E402
+from mppac.whitebox import exact_bracket  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -36,8 +36,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     model = load_model(args.model)
-    reference = exact_mean_payoff(model)
-    print(f"whitebox value: {reference:.6g}")
+    bracket = exact_bracket(model)
+    print(f"whitebox bracket: [{bracket[0]:.10g}, {bracket[1]:.10g}]")
 
     learner = LearnerConfig(
         epsilon_mp=args.epsilon,
@@ -47,11 +47,10 @@ def main(argv=None) -> int:
     )
     traces = {}
     for mode in MODES:
-        config = RunConfig(model_path=args.model, mode=mode, learner=learner)
-        report = _run_one(model, config, args.seed)
+        report = _run_one(model, mode, learner, args.seed)
         traces[mode] = report.trace
         low, up = report.final
-        inside = "yes" if low - 1e-9 <= reference <= up + 1e-9 else "NO"
+        inside = "yes" if report.covers(bracket) else "NO"
         print(
             f"{mode:22s} [{low:.5f}, {up:.5f}] width {up - low:.5f} "
             f"episodes {report.episodes:>8d} wall {report.wall_seconds:6.1f}s "

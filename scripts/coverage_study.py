@@ -2,8 +2,9 @@
 """Empirical PAC coverage of the learner against the whitebox solver.
 
 For each model, runs the learner over a block of seeds and reports how often
-the exact value lies inside the final interval (the guarantee says: with
-probability at least 1 - delta), plus width and runtime statistics.
+the final interval meets the whitebox bracket of the exact value (the
+guarantee says: with probability at least 1 - delta), plus width and runtime
+statistics.
 
 Example:
     python scripts/coverage_study.py --seeds 20 models/*.mdp models/*.ctmdp
@@ -18,42 +19,31 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from mppac.cli import RunConfig, _run_one  # noqa: E402
+from mppac.cli import _run_one  # noqa: E402
 from mppac.learn_mdp import LearnerConfig  # noqa: E402
 from mppac.model import load_model  # noqa: E402
-from mppac.whitebox import exact_mean_payoff  # noqa: E402
+from mppac.whitebox import exact_bracket  # noqa: E402
 
 
 def study(path: str, seeds: range, learner: LearnerConfig) -> dict:
     """Blackbox runs of `mppac run` over the seeds, checked against the
-    whitebox value."""
+    whitebox bracket."""
     model = load_model(path)
-    reference = exact_mean_payoff(model)
-    config = RunConfig(model_path=path, learner=learner)
-
-    covered = 0
-    widths, walls, episode_counts = [], [], []
-    timeouts = 0
-    for seed in seeds:
-        report = _run_one(model, config, seed)
-        walls.append(report.wall_seconds)
-        low, up = report.final
-        widths.append(up - low)
-        episode_counts.append(report.episodes)
-        timeouts += report.timed_out
-        if low - 1e-9 <= reference <= up + 1e-9:
-            covered += 1
+    bracket = exact_bracket(model)
+    reports = [_run_one(model, "blackbox", learner, seed) for seed in seeds]
+    widths = [r.width for r in reports]
+    walls = [r.wall_seconds for r in reports]
     return {
         "path": path,
-        "reference": reference,
-        "covered": covered,
-        "runs": len(widths),
+        "bracket": bracket,
+        "covered": sum(r.covers(bracket) for r in reports),
+        "runs": len(reports),
         "mean_width": statistics.fmean(widths),
         "max_width": max(widths),
         "mean_wall": statistics.fmean(walls),
         "max_wall": max(walls),
-        "mean_episodes": statistics.fmean(episode_counts),
-        "timeouts": timeouts,
+        "mean_episodes": statistics.fmean(r.episodes for r in reports),
+        "timeouts": sum(r.timed_out for r in reports),
     }
 
 
@@ -74,7 +64,7 @@ def main(argv=None) -> int:
         timeout_s=args.timeout_s,
     )
     print(
-        f"{'model':28s} {'exact':>9s} {'coverage':>9s} {'mean w':>8s} {'max w':>8s}"
+        f"{'model':28s} {'exact lo':>9s} {'exact hi':>9s} {'coverage':>9s} {'mean w':>8s} {'max w':>8s}"
         f" {'mean s':>7s} {'max s':>7s} {'mean eps':>9s} {'timeouts':>8s}"
     )
     worst_fraction = 1.0
@@ -83,7 +73,7 @@ def main(argv=None) -> int:
         fraction = row["covered"] / row["runs"]
         worst_fraction = min(worst_fraction, fraction)
         print(
-            f"{row['path']:28s} {row['reference']:9.5f} "
+            f"{row['path']:28s} {row['bracket'][0]:9.5f} {row['bracket'][1]:9.5f} "
             f"{row['covered']:>4d}/{row['runs']:<4d} "
             f"{row['mean_width']:8.4f} {row['max_width']:8.4f} "
             f"{row['mean_wall']:7.1f} {row['max_wall']:7.1f} "

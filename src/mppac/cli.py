@@ -18,7 +18,7 @@ from .learn_mdp import (
 )
 from .model import BLACKBOX, CTMDP, GREYBOX, ModelError, SampleOracle, load_model
 from .stats import rate_samples
-from .whitebox import exact_mean_payoff
+from .whitebox import exact_bracket
 
 MODES = ("blackbox", "blackbox-grey-updates", "greybox")
 
@@ -53,11 +53,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _run_one(model, config: RunConfig, seed: int) -> BoundsReport:
-    info = GREYBOX if config.mode == "greybox" else BLACKBOX
-    style = BLACKBOX_UPDATES if config.mode == "blackbox" else GREYBOX_UPDATES
+def _run_one(model, mode: str, learner: LearnerConfig, seed: int) -> BoundsReport:
+    """One learner run of model in one of MODES; seed seeds the oracle and the learner."""
+    info = GREYBOX if mode == "greybox" else BLACKBOX
+    style = BLACKBOX_UPDATES if mode == "blackbox" else GREYBOX_UPDATES
     oracle = SampleOracle(model, info_level=info, rng_seed=seed)
-    learner = replace(config.learner, seed=seed, update_style=style)
+    learner = replace(learner, seed=seed, update_style=style)
     if model.kind == CTMDP:
         return on_demand_bvi_ctmdp(oracle, learner)
     return on_demand_bvi(oracle, learner)
@@ -163,7 +164,7 @@ def run(config: RunConfig) -> int:
         return 2
 
     if len(config.seeds) == 1:
-        report = _run_one(model, config, config.seeds[0])
+        report = _run_one(model, config.mode, config.learner, config.seeds[0])
         if config.csv_path:
             _write_csv(config.csv_path, report)
         if config.svg_path:
@@ -174,7 +175,7 @@ def run(config: RunConfig) -> int:
     # repeated runs: independent seeded learners over one shared model, one
     # after the other (the learners are pure Python, so threads gain nothing),
     # per-seed output files
-    reports = [_run_one(model, config, seed) for seed in config.seeds]
+    reports = [_run_one(model, config.mode, config.learner, seed) for seed in config.seeds]
     for seed, report in zip(config.seeds, reports):
         if config.csv_path:
             _write_csv(_suffixed(config.csv_path, seed, ".csv"), report)
@@ -182,12 +183,12 @@ def run(config: RunConfig) -> int:
             _write_svg(_suffixed(config.svg_path, seed, ".svg"), {"": report.trace})
         low, up = report.final
         print(f"seed {seed}: [{low:.6g}, {up:.6g}] width {up - low:.6g}")
-    reference = exact_mean_payoff(model)
-    widths = [r.final[1] - r.final[0] for r in reports]
-    covered = sum(1 for r in reports if r.final[0] - 1e-9 <= reference <= r.final[1] + 1e-9)
+    lo, hi = exact_bracket(model)
+    widths = [r.width for r in reports]
+    covered = sum(r.covers((lo, hi)) for r in reports)
     print(
-        f"coverage: {covered}/{len(reports)} runs contain the whitebox value "
-        f"{reference:.6g}; mean width {sum(widths) / len(widths):.6g}"
+        f"coverage: {covered}/{len(reports)} runs meet the whitebox bracket "
+        f"[{lo:.10g}, {hi:.10g}]; mean width {sum(widths) / len(widths):.6g}"
     )
     return 0
 
@@ -236,7 +237,8 @@ def solve_whitebox(path: str) -> int:
     except (OSError, ModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(f"{exact_mean_payoff(model):.10g}")
+    lo, hi = exact_bracket(model)
+    print(f"[{lo:.10g}, {hi:.10g}]")
     return 0
 
 

@@ -93,6 +93,7 @@ class BoundsReport:
     certified_inconfidence: float
     r_max_seen: float
     episodes: int  # completed episodes
+    oracle_steps: int  # steps the oracle sampled during this run
     wall_seconds: float
     timed_out: bool  # the deadline had passed by the end of the last round
 
@@ -103,6 +104,11 @@ class BoundsReport:
     @property
     def rounds(self) -> int:
         return len(self.trace)
+
+    def covers(self, bracket: tuple) -> bool:
+        """Whether the final interval meets bracket (lo, hi), such as
+        whitebox.exact_bracket: a miss means the two are disjoint."""
+        return self.final[0] <= bracket[1] and bracket[0] <= self.final[1]
 
 
 class PartialModel:
@@ -806,6 +812,7 @@ def _needs_refinement(rec: MecRecord, partial: PartialModel, config: LearnerConf
 def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
     t0 = time.monotonic()
     deadline = t0 + config.timeout_s
+    steps0 = oracle.steps_sampled
     rng = learner_rng(config.seed)
     partial = PartialModel(
         oracle.p_min,
@@ -851,6 +858,7 @@ def _learn(oracle, config: LearnerConfig, refine) -> BoundsReport:
         certified_inconfidence=min(1.0, config.delta_mp + partial.surcharge()),
         r_max_seen=r_max,
         episodes=episodes,
+        oracle_steps=oracle.steps_sampled - steps0,
         wall_seconds=time.monotonic() - t0,
         timed_out=timed_out,
     )

@@ -5,8 +5,8 @@ a certified gain bracket per MEC by interval gain value iteration, then
 interval value iteration with those brackets as stays and deflation. Exact
 rows lose no width, and the bounds hold at every sweep, so the result is a
 bracket that contains the maximum mean payoff up to floating-point rounding.
-``mppac solve-whitebox`` prints its midpoint, and the tests and the
-benchmark check the learners against it. Nothing here ever samples.
+``mppac solve-whitebox`` prints it, and the CLI, the scripts and the tests
+check the learners against it. Nothing here ever samples.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .learn_ctmdp import uniformize
 from .learn_mdp import _Estimates, _fixpoint, _interval_gain_vi
 from .model import CTMDP, ExplicitModel
 
-BETA = 1e-6  # oracle tolerance: bench/run.py's containment gate and ladder check read it
+BETA = 1e-6  # oracle tolerance: only bench/run.py's containment gate and ladder check read it
 GAIN_BETA = 1e-9  # span at which each MEC's gain value iteration stops
 TOL = 1e-15  # the reachability fixpoint stops once no value moves more than this
 
@@ -56,7 +56,7 @@ def exact_bracket(model: ExplicitModel) -> tuple[float, float]:
 
 
 def exact_mean_payoff(model: ExplicitModel) -> float:
-    """Maximum expected mean payoff from the initial state, in reward units:
-    the midpoint of exact_bracket."""
+    """Midpoint of exact_bracket, in reward units. Only bench/run.py reads
+    it; it goes with BETA once the benchmark reads exact_bracket."""
     lo, hi = exact_bracket(model)
     return (lo + hi) / 2.0

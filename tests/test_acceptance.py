@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -21,18 +20,18 @@ from mppac import (
     LearnerConfig,
     MecRecord,
     SampleOracle,
+    exact_bracket,
     exact_mean_payoff,
     find_mec_mp_bounds_exact,
     greybox_miss_probability,
     load_model,
     mec_decomposition,
     on_demand_bvi,
-    on_demand_bvi_ctmdp,
     rate_samples,
     tp_width,
     update_mec_value_ctmdp,
 )
-from mppac.cli import main
+from mppac.cli import _run_one, main
 
 from .conftest import brute_force_mecs, frozen_partial, random_mdp_graph
 from .reference import (
@@ -195,22 +194,20 @@ def test_chernoff_minimizers_match_reference_points():
 @pytest.mark.parametrize("name", ["two_mec.mdp", "cycle_entry.mdp", "random5.mdp"])
 def test_mdp_runs_bracket_the_exact_value(models_dir, name):
     model = load_model(models_dir / name)
-    reference = exact_mean_payoff(model)
+    bracket = exact_bracket(model)
     config = LearnerConfig(epsilon_mp=0.01, delta_mp=0.1, timeout_s=120.0)
     covered = 0
     for seed in range(20):
-        oracle = SampleOracle(model, rng_seed=seed)
         start = time.perf_counter()
-        report = on_demand_bvi(oracle, replace(config, seed=seed))
+        report = _run_one(model, "blackbox", config, seed)
         elapsed = time.perf_counter() - start
         low, up = report.final
         assert elapsed < 120.0, f"seed {seed} took {elapsed:.1f}s"
         assert not report.timed_out
         assert low <= up
         assert up - low < 2 * config.epsilon_mp * report.r_max_seen + 1e-9
-        if low - 1e-9 <= reference <= up + 1e-9:
-            covered += 1
-    assert covered >= 18, f"{name}: only {covered}/20 runs covered {reference}"
+        covered += report.covers(bracket)
+    assert covered >= 18, f"{name}: only {covered}/20 runs covered {bracket}"
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +217,16 @@ def test_mdp_runs_bracket_the_exact_value(models_dir, name):
 
 def test_ctmdp_runs_bracket_the_exact_value(models_dir):
     model = load_model(models_dir / "cycle_rates.ctmdp")
-    reference = exact_mean_payoff(model)
+    bracket = exact_bracket(model)
     config = LearnerConfig(epsilon_mp=0.01, delta_mp=0.1, timeout_s=120.0)
     covered = 0
     for seed in range(20):
-        oracle = SampleOracle(model, rng_seed=seed)
-        report = on_demand_bvi_ctmdp(oracle, replace(config, seed=seed))
+        report = _run_one(model, "blackbox", config, seed)
         low, up = report.final
         assert not report.timed_out
         assert low <= up
-        if low - 1e-9 <= reference <= up + 1e-9:
-            covered += 1
-    assert covered >= 18, f"only {covered}/20 runs covered {reference}"
+        covered += report.covers(bracket)
+    assert covered >= 18, f"only {covered}/20 runs covered {bracket}"
 
 
 def test_mec_gain_is_invariant_in_the_uniformization_constant():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mppac import LearnerConfig, load_model
+from mppac import LearnerConfig, exact_bracket, load_model
 from mppac.cli import (
     MODES,
     TABLE_ALPHAS,
@@ -24,6 +25,10 @@ from mppac.cli import (
     run,
 )
 from mppac.stats import rate_samples
+
+from .test_golden_traces import load_golden
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # seed list parsing
@@ -197,13 +202,24 @@ def test_lint_missing_file_exits_2(tmp_path, capsys):
 
 def test_solve_whitebox_prints_value(models_dir, capsys):
     assert main(["solve-whitebox", str(models_dir / "two_mec.mdp")]) == 0
-    assert float(capsys.readouterr().out.strip()) == 1.0
+    assert capsys.readouterr().out == "[1, 1]\n"
+
+
+def test_solve_whitebox_prints_both_ends_of_the_bracket(models_dir, capsys):
+    # cycle_entry's bracket is about 1e-9 wide, so its ends print apart
+    lo, hi = exact_bracket(load_model(models_dir / "cycle_entry.mdp"))
+    assert main(["solve-whitebox", str(models_dir / "cycle_entry.mdp")]) == 0
+    assert capsys.readouterr().out == f"[{lo:.10g}, {hi:.10g}]\n"
+    assert float(f"{lo:.10g}") < float(f"{hi:.10g}")
 
 
 def test_solve_whitebox_ctmdp(models_dir, capsys):
     assert main(["solve-whitebox", str(models_dir / "cycle_rates.ctmdp")]) == 0
-    value = float(capsys.readouterr().out.strip())
-    assert value == pytest.approx(1 / 3, abs=1e-6)
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("[") and out.endswith("]")
+    lo, hi = (float(v) for v in out[1:-1].split(", "))
+    assert lo <= 1 / 3 <= hi
+    assert hi - lo < 2e-9
 
 
 def test_solve_whitebox_missing_file_exits_2(tmp_path, capsys):
@@ -315,8 +331,7 @@ def test_run_multi_seed_writes_per_seed_files_and_coverage(
         assert f"seed {seed}:" in out
         assert (tmp_path / f"multi_s{seed}.csv").exists()
     assert not csv_path.exists()  # only suffixed files in repeated mode
-    assert "coverage: 3/3 runs contain the whitebox value 1" in out
-    assert "mean width" in out
+    assert "coverage: 3/3 runs meet the whitebox bracket [1, 1]; mean width " in out
 
 
 def test_run_multi_seed_keeps_csv_and_svg_apart_without_extensions(models_dir, tmp_path):
@@ -368,8 +383,7 @@ def test_run_timeout_still_exits_0(models_dir, capsys):
 
 def test_run_one_greybox_mode_uses_greybox_oracle(models_dir):
     model = load_model(models_dir / "two_mec.mdp")
-    config = RunConfig(model_path="unused", mode="greybox")
-    report = _run_one(model, config, seed=0)
+    report = _run_one(model, "greybox", LearnerConfig(), seed=0)
     low, up = report.final
     assert low <= 1.0 <= up
     # a true greybox oracle pays no surcharge for successor-count guesses
@@ -378,12 +392,7 @@ def test_run_one_greybox_mode_uses_greybox_oracle(models_dir):
 
 def test_run_one_respects_learner_config(models_dir):
     model = load_model(models_dir / "random5.mdp")
-    config = RunConfig(
-        model_path="unused",
-        mode="blackbox",
-        learner=LearnerConfig(timeout_s=0.3, episodes_per_round=100),
-    )
-    report = _run_one(model, config, seed=9)
+    report = _run_one(model, "blackbox", LearnerConfig(timeout_s=0.3, episodes_per_round=100), seed=9)
     assert report.timed_out
     assert report.final[0] <= report.final[1]
 
@@ -392,13 +401,29 @@ def test_run_one_respects_learner_config(models_dir):
 # scripts
 
 
-@pytest.mark.parametrize("script", ["bench_pairs.py", "convergence_plot.py", "coverage_study.py", "golden_traces.py"])
+@pytest.mark.parametrize(
+    "script", ["bench_pairs.py", "convergence_plot.py", "coverage_study.py", "golden_traces.py", "trace_diff.py"]
+)
 def test_script_help_runs_from_a_checkout_without_pythonpath(script, tmp_path):
     # each script finds the package in the checkout's src/ by itself
-    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    path = ROOT / "scripts" / script
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, str(path), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def test_trace_diff_finds_a_checkout_identical_to_itself():
+    # the golden cases and one draw of each random model kind, with this
+    # checkout as both sides; the golden cases also match their records
+    argv = ["scripts/trace_diff.py", "--parent", ".", "--change", ".", "--random", "1", "--epsilon", "0.3", "--json"]
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["counts"] == {"cases": 18, "identical": 18, "parent_covers": 18, "change_covers": 18}
+    runs = {row["name"]: row["change"] for row in report["cases"]}
+    for name, record in load_golden().items():
+        run = runs[name]
+        assert (repr(run["oracle_steps"]), repr(run["rounds"])) == (record["steps_sampled"], record["rounds"])

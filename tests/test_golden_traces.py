@@ -14,36 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from mppac import (
-    BLACKBOX,
-    BLACKBOX_UPDATES,
-    CTMDP,
-    GREYBOX,
-    GREYBOX_UPDATES,
-    LearnerConfig,
-    SampleOracle,
-    load_model,
-    on_demand_bvi,
-    on_demand_bvi_ctmdp,
-    parse_model,
-)
+from mppac import LearnerConfig, load_model, parse_model
+from mppac.cli import _run_one
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_traces.json"
-
-# mode -> (oracle information level, Bellman update style), as `mppac run --mode`
-MODES = {
-    "blackbox": (BLACKBOX, BLACKBOX_UPDATES),
-    "blackbox-grey-updates": (BLACKBOX, GREYBOX_UPDATES),
-    "greybox": (GREYBOX, GREYBOX_UPDATES),
-}
 
 # generated below instead of read from models/
 LAYERED = "layered"
 TIED_RING = "tied_ring"
 RANDOM5_X3 = "random5_x3"
 
-# name -> (model, mode, seed, LearnerConfig overrides)
+# name -> (model, `mppac run --mode`, seed, LearnerConfig overrides)
 CASES = {
     "random5-blackbox-s0": ("random5.mdp", "blackbox", 0, {"epsilon_mp": 0.05}),
     "random5-blackbox-s1": ("random5.mdp", "blackbox", 1, {"epsilon_mp": 0.05}),
@@ -130,21 +112,21 @@ def random5_x3():
 GENERATED = {LAYERED: layered_model, TIED_RING: tied_ring_ctmdp, RANDOM5_X3: random5_x3}
 
 
+def case_model(model_name: str):
+    """The model a case names: a generated one or a file in models/."""
+    return GENERATED[model_name]() if model_name in GENERATED else load_model(ROOT / "models" / model_name)
+
+
 def run_case(name: str) -> dict:
     """One learner run of CASES[name], as the repr of each recorded field."""
     model_name, mode, seed, overrides = CASES[name]
-    model = GENERATED[model_name]() if model_name in GENERATED else load_model(ROOT / "models" / model_name)
-    info, style = MODES[mode]
-    oracle = SampleOracle(model, info_level=info, rng_seed=seed)
-    config = LearnerConfig(seed=seed, update_style=style, **overrides)
-    learn = on_demand_bvi_ctmdp if model.kind == CTMDP else on_demand_bvi
-    report = learn(oracle, config)
+    report = _run_one(case_model(model_name), mode, LearnerConfig(**overrides), seed)
     return {
         "trace": repr(report.trace),
         "final": repr(report.final),
         "episodes": repr(report.episodes),
         "rounds": repr(report.rounds),
-        "steps_sampled": repr(oracle.steps_sampled),
+        "steps_sampled": repr(report.oracle_steps),
     }
 
 

@@ -23,6 +23,7 @@ from mppac import (
     PLUS,
     STAY,
     UNKNOWN,
+    BoundsReport,
     LearnerConfig,
     MecRecord,
     PartialModel,
@@ -1278,6 +1279,32 @@ def test_on_demand_bvi_two_mec_converges(two_mec):
     assert not report.timed_out
     assert report.certified_inconfidence == pytest.approx(0.1)
     assert report.episodes > 0 and report.rounds > 0
+
+
+@pytest.mark.parametrize("name", ["two_mec.mdp", "cycle_rates.ctmdp"])
+def test_report_counts_the_oracle_steps_of_its_run(models_dir, name):
+    # a step sampled before the run is the oracle's, not the run's
+    model = load_model(models_dir / name)
+    oracle = SampleOracle(model, BLACKBOX, rng_seed=3)
+    oracle.sample_step(model.init, model.actions[model.init][0])
+    learn = on_demand_bvi_ctmdp if model.kind == CTMDP else on_demand_bvi
+    report = learn(oracle, LearnerConfig(seed=3, epsilon_mp=0.05, episodes_per_round=500))
+    assert report.oracle_steps == oracle.steps_sampled - 1 > 0
+
+
+def test_covers_misses_only_a_disjoint_bracket():
+    # the learner's two_mec interval touches the bracket (1, 1) at its upper end
+    report = BoundsReport(
+        trace=[], final=(0.9807858569786464, 1.0), certified_inconfidence=0.1, r_max_seen=1.0, episodes=1,
+        oracle_steps=1, wall_seconds=0.0, timed_out=False,
+    )
+    assert report.covers((1.0, 1.0))
+    assert report.covers((0.5, 0.9807858569786464))
+    assert report.covers((0.99, 0.995)) and report.covers((0.0, 2.0))
+    above = math.nextafter(1.0, 2.0)
+    below = math.nextafter(0.9807858569786464, 0.0)
+    assert not report.covers((above, above))
+    assert not report.covers((0.5, below))
 
 
 def test_capped_vi_phases_still_bracket_the_value(random5, monkeypatch):
