@@ -7,7 +7,9 @@ tests/conftest.py, every draw run in the three modes. This checkout builds
 each model and hands it to both sides as model text, so that both sides run
 the same model. Each side runs in its own subprocess, with its checkout's
 src/ first on the path, through its own ``mppac.cli._run_one(model, mode,
-learner, seed)``.
+learner, seed)``, and reads the report's ``oracle_steps``. Both checkouts
+must have that ``_run_one`` signature and that field, which came with this
+script: an older checkout fails with exit 2.
 
 For each case it prints whether the two runs are identical (trace, final
 interval, episodes, rounds and oracle steps), and per side the oracle steps,
@@ -44,7 +46,7 @@ def model_text(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_cases(draws: int, epsilon: float, delta: float) -> list[dict]:
+def build_cases(draws: int, epsilon: float) -> list[dict]:
     """The cases as JSON-ready dicts: name, model text, mode, seed and
     LearnerConfig fields."""
     sys.dont_write_bytecode = True
@@ -59,7 +61,7 @@ def build_cases(draws: int, epsilon: float, delta: float) -> list[dict]:
         for name, (model, mode, seed, overrides) in sorted(CASES.items())
     ]
     rng = np.random.default_rng(RANDOM_SEED)
-    learner = {"epsilon_mp": epsilon, "delta_mp": delta}
+    learner = {"epsilon_mp": epsilon}
     for i in range(draws):
         for kind, draw in (("mdp", random_mdp_model), ("ctmdp", random_ctmdp_model)):
             text = model_text(draw(rng))
@@ -121,11 +123,10 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--random", type=int, default=2, help="draws of each random model kind")
     ap.add_argument("--epsilon", type=float, default=0.1, help="the random cases' target half-width")
-    ap.add_argument("--delta", type=float, default=0.1, help="the random cases' inconfidence")
     ap.add_argument("--json", action="store_true", help="print one JSON object in place of the text report")
     args = ap.parse_args(argv)
 
-    cases = build_cases(args.random, args.epsilon, args.delta)
+    cases = build_cases(args.random, args.epsilon)
     with ThreadPoolExecutor(max_workers=2) as pool:
         parent, change = pool.map(lambda checkout: run_side(checkout, cases), (args.parent, args.change))
 

@@ -188,7 +188,7 @@ def run(config: RunConfig) -> int:
     covered = sum(r.covers((lo, hi)) for r in reports)
     print(
         f"coverage: {covered}/{len(reports)} runs meet the whitebox bracket "
-        f"[{lo:.10g}, {hi:.10g}]; mean width {sum(widths) / len(widths):.6g}"
+        f"[{lo:.10g}, {hi:.10g}] of width {hi - lo:.2g}; mean width {sum(widths) / len(widths):.6g}"
     )
     return 0
 

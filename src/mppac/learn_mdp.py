@@ -106,8 +106,8 @@ class BoundsReport:
         return len(self.trace)
 
     def covers(self, bracket: tuple) -> bool:
-        """Whether the final interval meets bracket (lo, hi), such as
-        whitebox.exact_bracket: a miss means the two are disjoint."""
+        """Whether the final interval may hold the value in bracket (lo, hi),
+        such as whitebox.exact_bracket: a miss means the two are disjoint."""
         return self.final[0] <= bracket[1] and bracket[0] <= self.final[1]
 
 

@@ -4,6 +4,7 @@ refinement, deflation, and the end-to-end PAC loop."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import time
 
@@ -1305,6 +1306,11 @@ def test_covers_misses_only_a_disjoint_bracket():
     below = math.nextafter(0.9807858569786464, 0.0)
     assert not report.covers((above, above))
     assert not report.covers((0.5, below))
+    # a point interval at the value meets, but does not contain, a bracket
+    # that reaches below it: the first random_mdp_model draw of seed 0 has
+    # value 0.7 and bracket (0.69999999937..., 0.7)
+    point = dataclasses.replace(report, final=(0.7, 0.7))
+    assert point.covers((0.6999999993701728, 0.7))
 
 
 def test_capped_vi_phases_still_bracket_the_value(random5, monkeypatch):
