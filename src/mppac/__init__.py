@@ -25,7 +25,6 @@ from .learn_ctmdp import (
     find_mec_mp_bounds_exact,
     on_demand_bvi_ctmdp,
     uniformize,
-    update_mec_value_ctmdp,
 )
 from .learn_mdp import (
     BLACKBOX_UPDATES,

@@ -12,6 +12,7 @@ meet from the caller, so this module needs no statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # Label of the synthetic stay action attached to confirmed MECs. '~' sorts
 # after alphanumerics, so label tie-breaks prefer real actions over stay.
@@ -39,9 +40,15 @@ class MecRecord:
     gain_upper: float = 1.0
     leave: tuple | None = field(default=None, compare=False, repr=False)
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, str], ...]:
+        """The retained pairs (s, a), sorted; cached, since no code changes a
+        record's actions after construction, and ignored by equality."""
+        return tuple(sorted((s, a) for s, av in self.actions.items() for a in av))
+
     def key(self) -> tuple:
         """Identity of the record: exact state and action sets."""
-        return (self.states, tuple(sorted((s, a) for s, av in self.actions.items() for a in av)))
+        return (self.states, self.pairs)
 
 
 def _sccs(states, edges) -> list[frozenset[int]]:

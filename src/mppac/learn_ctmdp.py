@@ -17,6 +17,7 @@ from .learn_mdp import (
     PartialModel,
     _interval_gain_vi,
     _learn,
+    _mec_rows,
     update_mec_value,
 )
 from .learn_mdp import simulate_episode, simulate_mec  # noqa: F401  bound here for bench/tracer.py
@@ -51,7 +52,7 @@ def achieved_rate_alpha(count: int, delta_r: float) -> float:
 def uniformize(rows: dict, rates: dict, C: float) -> dict:
     """Uniformize the rows of the pairs in rates at those exit rates. rows
     and the result map (s,a) to (count, ((t, probability), ...)) with
-    successors ascending, as PartialModel.row gives them: off-diagonal mass
+    successors ascending, as learn_mdp._mec_rows gives them: off-diagonal mass
     frequency·λ/C, the remainder as a self-loop. C must be at least the
     largest rate."""
     lam_max = max(rates.values())
@@ -68,33 +69,13 @@ def uniformize(rows: dict, rates: dict, C: float) -> dict:
     return out
 
 
-def update_mec_value_ctmdp(
-    M: MecRecord,
-    rates: dict,
-    partial: PartialModel,
-    beta: float,
-    delta_tp: float,
-    C: float,
-):
-    """Gain bounds of M under one concrete rate assignment: uniformize the
-    observed frequencies at those rates, then run interval VI with widths
-    from the counts."""
-    observed = {(s, a): partial.row(s, a) for s in M.states for a in M.actions[s]}
-    rewards = {s: partial.scaled_reward(s) for s in M.states}
-    return _interval_gain_vi(M, uniformize(observed, rates, C), rewards, delta_tp, beta)
-
-
 # ---------------------------------------------------------------------------
 # rate-adversarial gain bounds
 
 
 def _pair_rates(M: MecRecord, partial: PartialModel) -> dict:
     # every step of a pair adds one observed successor and one dwell time
-    return {
-        (s, a): sum(partial.post[(s, a)].values()) / partial.dwell_sum[(s, a)]
-        for s in M.states
-        for a in M.actions[s]
-    }
+    return {sa: sum(partial.post[sa].values()) / partial.dwell_sum[sa] for sa in M.pairs}
 
 
 def _threshold_rates(M: MecRecord, partial: PartialModel, alpha_r: float):
@@ -123,15 +104,17 @@ def find_mec_mp_bounds_exact(
     delta_tp: float,
 ):
     """Gain bounds over all rates within relative error alpha_r: the extreme
-    VI bound over the threshold assignments j = 0..|M| in each direction.
+    VI bound over the threshold assignments j = 0..|M| in each direction, each
+    by interval VI on M's rows uniformized at that assignment's rates.
     These hold the box's extremes: the optimal gain at rates λ is the root g
     of the largest Σ π_s (r_s − g)/λ_s over policies (Dinkelbach, Management
     Science 1967), and at every g, running the states above g slow and the
     rest fast maximizes each term for all policies at once (mirrored: min)."""
+    rows, rewards = _mec_rows(M, partial)
     C, rates = _threshold_rates(M, partial, alpha_r)
     js = range(len(M.states) + 1)
-    v_u = max(update_mec_value_ctmdp(M, rates(j, "max"), partial, beta, delta_tp, C)[1] for j in js)
-    v_l = min(update_mec_value_ctmdp(M, rates(j, "min"), partial, beta, delta_tp, C)[0] for j in js)
+    v_u = max(_interval_gain_vi(M, uniformize(rows, rates(j, "max"), C), rewards, delta_tp, beta)[1] for j in js)
+    v_l = min(_interval_gain_vi(M, uniformize(rows, rates(j, "min"), C), rewards, delta_tp, beta)[0] for j in js)
     return min(v_l, v_u), max(v_l, v_u)
 
 
@@ -142,13 +125,12 @@ find_mec_mp_bounds_heuristic = find_mec_mp_bounds_exact  # bound here for bench/
 # learner loop
 
 
-def _bound_mec_gain_ctmdp(M, partial, beta):
+def _bound_mec_gain_ctmdp(M, partial, delta_tp, beta):
     """CTMDP gain bounder for update_mec_value: the rate-adversarial bounds
     at the relative rate error certified for all of M's pairs, that of its
     least-sampled pair (achieved_rate_alpha does not grow with the count).
     The per-pair rate inconfidence equals delta_tp by the split."""
-    delta_tp = partial.current_delta_tp()
-    least = min(sum(partial.post[(s, a)].values()) for s in M.states for a in M.actions[s])
+    least = min(sum(partial.post[sa].values()) for sa in M.pairs)
     alpha_r = achieved_rate_alpha(least, delta_tp)
     return find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp)
 

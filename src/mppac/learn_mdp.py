@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, count
+from numbers import Integral
 
 import numpy as np
 
@@ -78,6 +79,8 @@ class LearnerConfig:
             raise ValueError(f"delta_mp {self.delta_mp} outside (0, 1)")
         if not self.epsilon_mp > 0.0:
             raise ValueError(f"epsilon_mp {self.epsilon_mp} is not positive")
+        if not isinstance(self.episodes_per_round, Integral):
+            raise ValueError(f"episodes_per_round {self.episodes_per_round!r} is not an integer")
         if self.episodes_per_round < 1:
             raise ValueError(f"episodes_per_round {self.episodes_per_round} is below 1")
         if not self.timeout_s > 0.0:
@@ -191,15 +194,6 @@ class PartialModel:
                 m.gain_upper *= ratio
             self.invalidate_choices()
 
-    def row(self, s: int, a: str) -> tuple[int, tuple[tuple[int, float], ...]]:
-        """(#(s,a), ((t, #(s,a,t)/#(s,a)), ...)) with successors ascending;
-        an unsampled pair gives (0, ())."""
-        succ = self.post[(s, a)]
-        n = sum(succ.values())
-        if n == 0:
-            return 0, ()
-        return n, tuple((t, c / n) for t, c in sorted(succ.items()))
-
     def leaving_action(self, rec: MecRecord) -> tuple[int, str]:
         """best_leaving_action of a held stay record at the current values
         and observed successors, memoized in rec.leave: an episode resets it
@@ -207,11 +201,6 @@ class PartialModel:
         if rec.leave is None:
             rec.leave = best_leaving_action(rec, _mec_action_values(self, rec), self.available, self.post)
         return rec.leave
-
-    def scaled_reward(self, s: int) -> float:
-        if self.r_max_seen <= 0.0:
-            return 0.0
-        return self.rewards[s] / self.r_max_seen
 
     # -- inconfidence bookkeeping ---------------------------------------
 
@@ -628,7 +617,7 @@ def simulate_episode(oracle, partial: PartialModel, rng, deadline: float):
 def compute_n_samples(M: MecRecord, partial: PartialModel) -> int:
     """Smallest INITIAL_MEC_SAMPLES*MEC_SAMPLE_MULTIPLIER^j strictly above the
     least visit count of M's pairs."""
-    least = min(sum(partial.post[(s, a)].values()) for s in M.states for a in M.actions[s])
+    least = min(sum(partial.post[sa].values()) for sa in M.pairs)
     n = INITIAL_MEC_SAMPLES
     while n <= least:
         n *= MEC_SAMPLE_MULTIPLIER
@@ -641,18 +630,17 @@ def simulate_mec(
     """Uniform-action random walk inside M for n_samples times the number of
     observed successors of M's pairs. Returns False if a step escapes M — the
     record is then stale and must be dropped by the caller."""
-    n_succ = sum(len(partial.post[(s, a)]) for s in M.states for a in M.actions[s])
+    n_succ = sum(len(partial.post[sa]) for sa in M.pairs)
     steps = n_samples * max(1, n_succ)
     # This loop dominates refinement time. It draws an action only where
     # there is a choice, and it keeps the dwell sums of M's pairs in per-pair
     # slots: the same sums in the same order as the episode's step, written
     # back to the partial model when the walk stops.
     dwell_sum = partial.dwell_sum
-    pairs = [(s, a) for s in sorted(M.states) for a in sorted(M.actions[s])]
-    slot = {sa: j for j, sa in enumerate(pairs)}
+    slot = {sa: j for j, sa in enumerate(M.pairs)}
     acts = {s: [(a, slot[(s, a)]) for a in sorted(M.actions[s])] for s in M.states}
-    succs = [partial.post[sa] for sa in pairs]
-    dwells = [dwell_sum.get(sa) for sa in pairs]  # None until a pair has a dwell
+    succs = [partial.post[sa] for sa in M.pairs]
+    dwells = [dwell_sum.get(sa) for sa in M.pairs]  # None until a pair has a dwell
     states = M.states
     sample = oracle.sample_step
     rand = rng.random
@@ -676,7 +664,7 @@ def simulate_mec(
             s = t
         return True
     finally:
-        for sa, total in zip(pairs, dwells):
+        for sa, total in zip(M.pairs, dwells):
             if total is not None:
                 dwell_sum[sa] = total
 
@@ -684,8 +672,8 @@ def simulate_mec(
 def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float):
     """Interval value iteration for the gain of a (presumed) MEC.
 
-    rows maps (s,a) to (count, ((t, frequency), ...)), as PartialModel.row
-    gives them, and runs through the phase's row kernel (_Rows) with
+    rows maps (s,a) to (count, ((t, frequency), ...)), as _mec_rows gives
+    them, and runs through the phase's row kernel (_Rows) with
     residual mass to the worst/best seen successor. A virtual self-loop of
     mass 1-APERIODICITY forces aperiodicity without changing the gain.
     Iterates until both update-difference spans are below beta, or for
@@ -696,9 +684,8 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float)
     """
     beta = max(beta, 1e-9)
     states = sorted(M.states)
-    pairs = [(s, a) for s in states for a in sorted(M.actions[s])]
     slot = {s: i for i, s in enumerate(states)}
-    entries = [rows[sa] for sa in pairs]
+    entries = [rows[sa] for sa in M.pairs]
     packed = _Rows(
         [n for n, _ in entries],
         [len(freqs) for _, freqs in entries],
@@ -726,13 +713,24 @@ def _interval_gain_vi(M: MecRecord, rows, rewards, delta_tp: float, beta: float)
     return gl, max(gl, gu)
 
 
+def _mec_rows(M: MecRecord, partial: PartialModel):
+    """M's rows at the current counts, (#(s,a), ((t, #(s,a,t)/#(s,a)), ...))
+    per pair with successors ascending, or (0, ()) for an unsampled pair; and
+    its states' rewards scaled to [0,1] by r_max_seen, 0 while that is 0."""
+    rows = {}
+    for sa in M.pairs:
+        succ = partial.post[sa]
+        n = sum(succ.values())
+        rows[sa] = (n, tuple((t, c / n) for t, c in sorted(succ.items()))) if n else (0, ())
+    r_max = partial.r_max_seen
+    return rows, {s: partial.rewards[s] / r_max if r_max > 0.0 else 0.0 for s in M.states}
+
+
 def mec_value_iteration(M: MecRecord, partial: PartialModel, delta_tp: float, beta: float):
-    """Gain bounds for M from the current counts (rewards scaled to [0,1] by
-    r_max_seen). Residual-to-seen-extremes updates are always used here: a
-    sure MEC's support is known with the certified confidence."""
-    rows = {(s, a): partial.row(s, a) for s in M.states for a in M.actions[s]}
-    rewards = {s: partial.scaled_reward(s) for s in M.states}
-    return _interval_gain_vi(M, rows, rewards, delta_tp, beta)
+    """MDP gain bounder for update_mec_value: bounds for M by interval VI at
+    the current counts. Residual-to-seen-extremes updates are always used
+    here: a sure MEC's support is known with the certified confidence."""
+    return _interval_gain_vi(M, *_mec_rows(M, partial), delta_tp, beta)
 
 
 def _tighten(M: MecRecord, gl: float, gu: float) -> None:
@@ -746,11 +744,6 @@ def _tighten(M: MecRecord, gl: float, gu: float) -> None:
     M.gain_upper = hi
 
 
-def _bound_mec_gain(M: MecRecord, partial: PartialModel, beta: float):
-    """MDP gain bounder for update_mec_value: interval VI at the current counts."""
-    return mec_value_iteration(M, partial, partial.current_delta_tp(), beta)
-
-
 def update_mec_value(
     M: MecRecord,
     oracle,
@@ -759,28 +752,29 @@ def update_mec_value(
     rng,
     start: int,
     deadline: float,
-    bound=_bound_mec_gain,
+    bound=mec_value_iteration,
 ):
     """Refine M's gain bounds, aiming the gain bounder at half the current gap.
 
-    bound(M, partial, beta) returns fresh (lower, upper) gain bounds at the
-    current counts: interval VI for MDPs, the rate-adversarial sweep for
-    CTMDPs. Value iteration alone often suffices: the precision target beta,
-    not the visit counts, is what binds whenever rows concentrate on few
-    successors (a single-successor row loses no width at any count). The
-    sampling walk with its escalating budget therefore only runs when the
-    bounds at the current counts leave the gap too wide, i.e. when the
-    count-driven width floor is the binding constraint. Returns the new
-    bounds, or None if M is stale and lost its stay: a retained pair was
+    bound(M, partial, delta_tp, beta) returns fresh (lower, upper) gain
+    bounds at the current counts and per-transition inconfidence delta_tp,
+    which each fit reads once: interval VI for MDPs, the rate-adversarial
+    sweep for CTMDPs. Value iteration alone often suffices: the precision
+    target beta, not the visit counts, is what binds whenever rows
+    concentrate on few successors (a single-successor row loses no width at
+    any count). The sampling walk with its escalating budget therefore only
+    runs when the bounds at the current counts leave the gap too wide, i.e.
+    when the count-driven width floor is the binding constraint. Returns the
+    new bounds, or None if M is stale and lost its stay: a retained pair was
     seen leaving M, by an episode since the record was confirmed or by the
     walk, so its staying-action evidence was wrong.
     """
 
     def refit():
-        _tighten(M, *bound(M, partial, (M.gain_upper - M.gain_lower) / 2.0))
+        _tighten(M, *bound(M, partial, partial.current_delta_tp(), (M.gain_upper - M.gain_lower) / 2.0))
         partial.forget([M])
 
-    if any(t not in M.states for s in M.states for a in M.actions[s] for t in partial.post[(s, a)]):
+    if any(t not in M.states for sa in M.pairs for t in partial.post[sa]):
         partial.drop([M])
         return None
     refit()

@@ -82,7 +82,9 @@ def _validate(m: ExplicitModel) -> None:
     if len(m.reward) != m.state_count:
         raise ModelError("reward must cover every state")
     for s, r in enumerate(m.reward):
-        if r < 0 or not math.isfinite(r):
+        if not math.isfinite(r):
+            raise ModelError(f"non-finite reward {r} at state {s}")
+        if r < 0:
             raise ModelError(f"negative reward {r:.6g} at state {s}")
 
     declared = set()
@@ -101,7 +103,9 @@ def _validate(m: ExplicitModel) -> None:
         for t, v in row.items():
             if not 0 <= t < m.state_count:
                 raise ModelError(f"dangling state index {t} at ({s},{a})")
-            if v < 0 or not math.isfinite(v):
+            if not math.isfinite(v):
+                raise ModelError(f"non-finite entry {v} at ({s},{a})")
+            if v < 0:
                 raise ModelError(f"negative entry {v:.6g} at ({s},{a})")
         total = sum(row.values())
         if m.kind == MDP:

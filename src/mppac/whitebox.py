@@ -23,7 +23,7 @@ TOL = 1e-15  # the reachability fixpoint stops once no value moves more than thi
 
 def _exact_rows(model: ExplicitModel, pairs) -> dict:
     """Exact rows of pairs as (1, ((t, p), ...)) with successors ascending,
-    as PartialModel.row gives them; count 1 at δ_tp = 1 has width 0. A
+    as learn_mdp._mec_rows gives them; count 1 at δ_tp = 1 has width 0. A
     CTMDP's rows are uniformized at C = its largest exit rate, which keeps
     every policy's time-average gain."""
     rows = {sa: (1, tuple(sorted(model.rows[sa].items()))) for sa in pairs}
@@ -37,7 +37,7 @@ def _exact_rows(model: ExplicitModel, pairs) -> dict:
 def exact_mec_gain(mec: MecRecord, model: ExplicitModel) -> tuple[float, float]:
     """Bracket of the maximal mean payoff inside a MEC, scaled to [0, 1] by
     the model's r_max, which must be positive."""
-    rows = _exact_rows(model, [(s, a) for s in mec.states for a in mec.actions[s]])
+    rows = _exact_rows(model, mec.pairs)
     rewards = {s: model.reward[s] / model.r_max for s in mec.states}
     return _interval_gain_vi(mec, rows, rewards, 1.0, GAIN_BETA)
 

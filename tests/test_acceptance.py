@@ -29,9 +29,10 @@ from mppac import (
     on_demand_bvi,
     rate_samples,
     tp_width,
-    update_mec_value_ctmdp,
+    uniformize,
 )
 from mppac.cli import _run_one, main
+from mppac.learn_mdp import _interval_gain_vi, _mec_rows
 
 from .conftest import brute_force_mecs, frozen_partial, random_mdp_graph
 from .reference import (
@@ -245,8 +246,9 @@ def test_mec_gain_is_invariant_in_the_uniformization_constant():
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
     beta = 1e-6
     # the exact uniformized gain: statistical widths off, C = max λ vs 2·max λ
-    at_c = update_mec_value_ctmdp(M, rates, partial, beta, delta_tp=1.0, C=2.0)
-    at_2c = update_mec_value_ctmdp(M, rates, partial, beta, delta_tp=1.0, C=4.0)
+    rows, rewards = _mec_rows(M, partial)
+    at_c = _interval_gain_vi(M, uniformize(rows, rates, 2.0), rewards, 1.0, beta)
+    at_2c = _interval_gain_vi(M, uniformize(rows, rates, 4.0), rewards, 1.0, beta)
     assert abs(at_c[0] - at_2c[0]) <= 2 * beta + 1e-9
     assert abs(at_c[1] - at_2c[1]) <= 2 * beta + 1e-9
 

@@ -293,3 +293,11 @@ def test_mec_record_key_is_structural():
     a = _mec({0, 1}, {0: frozenset({"a"}), 1: frozenset({"b"})})
     b = _mec({1, 0}, {1: frozenset({"b"}), 0: frozenset({"a"})})
     assert a.key() == b.key()
+
+
+def test_mec_record_pairs_are_sorted_and_ignored_by_equality():
+    a = _mec({0, 1}, {1: frozenset({"b", "a"}), 0: frozenset({"c"})})
+    b = _mec({0, 1}, {1: frozenset({"b", "a"}), 0: frozenset({"c"})})
+    assert a.pairs == ((0, "c"), (1, "a"), (1, "b")) == a.key()[1]
+    assert a == b  # a caches its pairs, b does not yet
+    assert "pairs" not in repr(a)

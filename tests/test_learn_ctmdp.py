@@ -26,9 +26,9 @@ from mppac import (
     simulate_mec,
     split_mp_inconfidence,
     uniformize,
-    update_mec_value_ctmdp,
 )
 from mppac.learn_ctmdp import _bound_mec_gain_ctmdp, _threshold_rates, achieved_rate_alpha
+from mppac.learn_mdp import _interval_gain_vi, _mec_rows
 
 from .conftest import frozen_partial
 from .reference import ctmdp_mec_gain, stationary_distribution
@@ -140,8 +140,9 @@ def _cycle_rates_partial(n=50_000):
 def test_update_mec_value_ctmdp_recovers_the_gain():
     partial = _cycle_rates_partial()
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
-    gl, gu = update_mec_value_ctmdp(
-        _cycle_mec(), rates, partial, beta=1e-5, delta_tp=partial.current_delta_tp(), C=2.0
+    rows, rewards = _mec_rows(_cycle_mec(), partial)
+    gl, gu = _interval_gain_vi(
+        _cycle_mec(), uniformize(rows, rates, 2.0), rewards, partial.current_delta_tp(), 1e-5
     )
     assert gl <= 1 / 3 <= gu
     assert gu - gl < 0.05
@@ -154,8 +155,9 @@ def test_update_mec_value_ctmdp_is_uniformization_invariant():
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
     beta = 1e-6
     reference = ctmdp_mec_gain((0.5, 0.5), (1.0, 0.0), (2.0, 1.0))
-    a = update_mec_value_ctmdp(_cycle_mec(), rates, partial, beta, delta_tp=1.0, C=2.0)
-    b = update_mec_value_ctmdp(_cycle_mec(), rates, partial, beta, delta_tp=1.0, C=4.0)
+    rows, rewards = _mec_rows(_cycle_mec(), partial)
+    a = _interval_gain_vi(_cycle_mec(), uniformize(rows, rates, 2.0), rewards, 1.0, beta)
+    b = _interval_gain_vi(_cycle_mec(), uniformize(rows, rates, 4.0), rewards, 1.0, beta)
     for low, up in (a, b):
         assert low == pytest.approx(reference, abs=beta + 1e-9)
         assert up == pytest.approx(reference, abs=beta + 1e-9)
@@ -168,8 +170,11 @@ def test_statistical_widths_depend_on_c_but_stay_sound():
     # so the endpoints may move with C; soundness must not
     partial = _cycle_rates_partial()
     rates = {(0, "a"): 2.0, (1, "a"): 1.0}
+    rows, rewards = _mec_rows(_cycle_mec(), partial)
     for c in (2.0, 4.0):
-        low, up = update_mec_value_ctmdp(_cycle_mec(), rates, partial, 1e-6, partial.current_delta_tp(), C=c)
+        low, up = _interval_gain_vi(
+            _cycle_mec(), uniformize(rows, rates, c), rewards, partial.current_delta_tp(), 1e-6
+        )
         assert low <= 1 / 3 <= up
 
 
@@ -222,7 +227,7 @@ def test_learner_bounds_mec_gains_by_the_full_sweep(succ):
     (M, partial, _, beta, _), _ = _worked_case(succ)
     delta_tp = partial.current_delta_tp()
     alpha_r = achieved_rate_alpha(1000, delta_tp)
-    bounds = _bound_mec_gain_ctmdp(M, partial, beta)
+    bounds = _bound_mec_gain_ctmdp(M, partial, delta_tp, beta)
     assert bounds == find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp)
 
 
@@ -259,14 +264,15 @@ def _best_gains_at_the_corners(M, partial, alpha_r):
     states = range(len(M.states))  # the strategy's MECs hold 0..k-1
     pairs = [(s, a) for s in states for a in sorted(M.actions[s])]
     lam = {sa: sum(partial.post[sa].values()) / partial.dwell_sum[sa] for sa in pairs}
-    rewards = [partial.scaled_reward(s) for s in states]
+    rows, scaled = _mec_rows(M, partial)
+    rewards = [scaled[s] for s in states]
     factors = (1.0 - alpha_r, 1.0 + alpha_r)
     # each policy's gain at each corner of the rates of its own pairs
     policies = []
     for choice in itertools.product(*(sorted(M.actions[s]) for s in states)):
         P = np.zeros((len(states), len(states)))
         for s, a in zip(states, choice):
-            for t, f in partial.row(s, a)[1]:
+            for t, f in rows[(s, a)][1]:
                 P[s, t] = f
         pi = stationary_distribution(P)
         own = tuple(zip(states, choice))

@@ -48,6 +48,7 @@ from mppac.learn_mdp import (
     _draw_stay,
     _estimates,
     _interval_gain_vi,
+    _mec_rows,
     _sweep_once,
     _vi_phase,
 )
@@ -805,7 +806,7 @@ def _loop_interval_gain_vi(M, rows, rewards, delta_tp, beta, y):
 
 
 @st.composite
-def _mec_rows(draw):
+def _gain_vi_cases(draw):
     # a cycle 0 -> 1 -> ... -> 0 runs through every row, and each successor
     # is drawn at least 1000 times in 11000, so every lower estimate stays
     # positive at these widths: every policy is irreducible and the spans
@@ -827,9 +828,21 @@ def _mec_rows(draw):
     return M, rows, rewards, delta_tp, beta
 
 
-@given(_mec_rows())
+@given(_gain_vi_cases())
 def test_interval_gain_vi_equals_the_per_row_loop_exactly(case):
     assert _interval_gain_vi(*case) == _loop_interval_gain_vi(*case, 0.95)
+
+
+def test_mec_rows_read_an_unsampled_pair_as_no_row_and_rewards_as_zero_before_a_reward():
+    # r_max_seen stays 0 until a positive reward is discovered
+    partial = frozen_partial({(0, "a", 1): 3, (0, "a", 0): 1, (1, "a", 0): 2}, rewards={0: 0.0, 1: 0.0})
+    partial.available[1] += ("b",)
+    partial.post[(1, "b")] = {}
+    M = MecRecord(states=frozenset({0, 1}), actions={0: frozenset({"a"}), 1: frozenset({"a", "b"})})
+    rows, rewards = _mec_rows(M, partial)
+    assert rows == {(0, "a"): (4, ((0, 0.25), (1, 0.75))), (1, "a"): (2, ((0, 1.0),)), (1, "b"): (0, ())}
+    assert partial.r_max_seen == 0.0
+    assert rewards == {0: 0.0, 1: 0.0}
 
 
 def test_mec_value_iteration_self_loop_is_exact():
@@ -1263,7 +1276,8 @@ def test_a_round_cut_in_its_first_episode_counts_no_episode():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("update_style", GREYBOX), ("precision_mode", "Relative"), ("timeout_s", math.nan)]
+    "field, value",
+    [("update_style", GREYBOX), ("precision_mode", "Relative"), ("timeout_s", math.nan), ("episodes_per_round", 2.5)],
 )
 def test_learner_config_rejects_unknown_settings(field, value):
     # "greybox" is the oracle's information level, not an update style

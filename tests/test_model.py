@@ -156,6 +156,22 @@ def test_validate_rejects_negative_reward():
         _tiny({(0, "a"): {0: 1.0}}, rewards=(-1.0,))
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("mdp\nstates 1\ninit 0\npmin 1\nreward 0 inf\nt 0 a 0 1.0\n", "non-finite reward inf at state 0"),
+        ("mdp\nstates 1\ninit 0\npmin 1\nreward 0 nan\nt 0 a 0 1.0\n", "non-finite reward nan at state 0"),
+        ("ctmdp\nstates 1\ninit 0\npmin 1\nt 0 a 0 inf\n", "non-finite entry inf at (0,a)"),
+        ("mdp\nstates 1\ninit 0\npmin 1\nt 0 a 0 nan\n", "non-finite entry nan at (0,a)"),
+    ],
+    ids=["reward-inf", "reward-nan", "rate-inf", "probability-nan"],
+)
+def test_validate_names_a_non_finite_reward_or_entry(text, fragment):
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    assert fragment in str(err.value)
+
+
 def test_successors_are_sorted(random5):
     assert random5.successors(0, "a") == (1, 3)
     assert random5.successors(1, "x") == (1, 2)
