@@ -3,7 +3,8 @@
 
 The cases are the golden-trace cases of tests/test_golden_traces.py, plus
 --random N draws each of a random MDP and a random CTMDP from
-tests/conftest.py, every draw run in the three modes. This checkout builds
+tests/conftest.py, every draw run in the three modes at --epsilon and
+--delta. This checkout builds
 each model and hands it to both sides as model text, so that both sides run
 the same model. Each side runs in its own subprocess, with its checkout's
 src/ first on the path, through its own ``mppac.cli._run_one(model, mode,
@@ -19,6 +20,7 @@ case is identical, 1 when one differs and 2 when a side fails to run.
 
 Example, from the repository root:
     python scripts/trace_diff.py --parent ../parent --change . --random 4
+    python scripts/trace_diff.py --parent ../parent --change . --random 4 --epsilon 0.1 --delta 1e-3
 """
 
 from __future__ import annotations
@@ -46,13 +48,15 @@ def model_text(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_cases(draws: int, epsilon: float) -> list[dict]:
+def build_cases(draws: int, epsilon: float, delta: float | None) -> list[dict]:
     """The cases as JSON-ready dicts: name, model text, mode, seed and
-    LearnerConfig fields."""
+    LearnerConfig fields. The random cases run at delta_mp delta, or at
+    LearnerConfig's default when delta is None."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     import numpy as np
     from tests.conftest import random_ctmdp_model, random_mdp_model
+    from mppac import LearnerConfig
     from mppac.cli import MODES
     from tests.test_golden_traces import CASES, case_model
 
@@ -61,7 +65,7 @@ def build_cases(draws: int, epsilon: float) -> list[dict]:
         for name, (model, mode, seed, overrides) in sorted(CASES.items())
     ]
     rng = np.random.default_rng(RANDOM_SEED)
-    learner = {"epsilon_mp": epsilon}
+    learner = {"epsilon_mp": epsilon, "delta_mp": LearnerConfig.delta_mp if delta is None else delta}
     for i in range(draws):
         for kind, draw in (("mdp", random_mdp_model), ("ctmdp", random_ctmdp_model)):
             text = model_text(draw(rng))
@@ -123,10 +127,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--random", type=int, default=2, help="draws of each random model kind")
     ap.add_argument("--epsilon", type=float, default=0.1, help="the random cases' target half-width")
+    ap.add_argument("--delta", type=float, help="the random cases' delta_mp (default: LearnerConfig's)")
     ap.add_argument("--json", action="store_true", help="print one JSON object in place of the text report")
     args = ap.parse_args(argv)
 
-    cases = build_cases(args.random, args.epsilon)
+    cases = build_cases(args.random, args.epsilon, args.delta)
     with ThreadPoolExecutor(max_workers=2) as pool:
         parent, change = pool.map(lambda checkout: run_side(checkout, cases), (args.parent, args.change))
 

@@ -57,9 +57,9 @@ from .model import (
 from .stats import (
     ec_required_samples,
     greybox_miss_probability,
+    inconfidence_ledger,
     rate_inconfidence,
     rate_samples,
-    split_mp_inconfidence,
     tp_inconfidence,
     tp_width,
 )

@@ -55,6 +55,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 def _run_one(model, mode: str, learner: LearnerConfig, seed: int) -> BoundsReport:
     """One learner run of model in one of MODES; seed seeds the oracle and the learner."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     info = GREYBOX if mode == "greybox" else BLACKBOX
     style = BLACKBOX_UPDATES if mode == "blackbox" else GREYBOX_UPDATES
     oracle = SampleOracle(model, info_level=info, rng_seed=seed)

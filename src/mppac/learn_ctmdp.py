@@ -129,7 +129,7 @@ def _bound_mec_gain_ctmdp(M, partial, delta_tp, beta):
     """CTMDP gain bounder for update_mec_value: the rate-adversarial bounds
     at the relative rate error certified for all of M's pairs, that of its
     least-sampled pair (achieved_rate_alpha does not grow with the count).
-    The per-pair rate inconfidence equals delta_tp by the split."""
+    The per-pair rate inconfidence equals delta_tp by the ledger."""
     least = min(sum(partial.post[sa].values()) for sa in M.pairs)
     alpha_r = achieved_rate_alpha(least, delta_tp)
     return find_mec_mp_bounds_exact(M, partial, alpha_r, beta, delta_tp)

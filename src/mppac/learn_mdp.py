@@ -34,7 +34,7 @@ from .model import CTMDP, GREYBOX, MDP, learner_rng
 from .stats import (
     ec_required_samples,
     greybox_miss_probability,
-    split_mp_inconfidence,
+    inconfidence_ledger,
     tp_inconfidence,
     tp_width,
 )
@@ -79,10 +79,10 @@ class LearnerConfig:
             raise ValueError(f"delta_mp {self.delta_mp} outside (0, 1)")
         if not self.epsilon_mp > 0.0:
             raise ValueError(f"epsilon_mp {self.epsilon_mp} is not positive")
-        if not isinstance(self.episodes_per_round, Integral):
-            raise ValueError(f"episodes_per_round {self.episodes_per_round!r} is not an integer")
-        if self.episodes_per_round < 1:
-            raise ValueError(f"episodes_per_round {self.episodes_per_round} is below 1")
+        for name, least in (("episodes_per_round", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} {value!r} is not an integer of at least {least}")
         if not self.timeout_s > 0.0:
             raise ValueError(f"timeout_s {self.timeout_s} is not positive")
 
@@ -119,10 +119,9 @@ class PartialModel:
 
     def __init__(self, p_min: float, delta_mp: float, update_style: str, info_level: str, ctmdp: bool):
         self.p_min = p_min
-        self.delta_mp = delta_mp
+        self.ledger = inconfidence_ledger(delta_mp, p_min, ctmdp)  # (widths, gate, rates)
         self.update_style = update_style
         self.info_level = info_level
-        self.ctmdp = ctmdp
         self.available: dict[int, tuple[str, ...]] = {}  # discovered states
         # post[(s,a)][t] = #(s,a,t); its keys are the observed successors
         # and #(s,a) is the sum of its values
@@ -208,16 +207,14 @@ class PartialModel:
         return max(1, len(self.post))
 
     def current_delta_tp(self) -> float:
-        """Per-transition inconfidence at the current discovery horizon; for
-        a CTMDP, the split makes it the per-pair rate inconfidence too."""
-        if self.ctmdp:
-            d1, _ = split_mp_inconfidence(self.delta_mp, self.p_min)
-            return tp_inconfidence(d1, self.p_min, self.num_pairs())
-        return tp_inconfidence(self.delta_mp, self.p_min, self.num_pairs())
+        """The widths' share spread over the transitions of the pairs found so
+        far; for a CTMDP, the ledger makes it the per-pair rate share too."""
+        return tp_inconfidence(self.ledger[0], self.p_min, self.num_pairs())
 
     def sure_ec_need(self) -> int:
-        """Samples each staying pair needs to pass the sure-EC gate now."""
-        return ec_required_samples(self.current_delta_tp(), self.p_min)
+        """Samples each staying pair needs to pass the sure-EC gate now: the
+        gate's share spread over the pairs' at most 1/p_min successors each."""
+        return ec_required_samples(tp_inconfidence(self.ledger[1], self.p_min, self.num_pairs()), self.p_min)
 
     def grey_equations(self, pairs) -> np.ndarray:
         """Per pair (s,a): whether the residual-to-seen-extremes update is
@@ -729,7 +726,7 @@ def _mec_rows(M: MecRecord, partial: PartialModel):
 def mec_value_iteration(M: MecRecord, partial: PartialModel, delta_tp: float, beta: float):
     """MDP gain bounder for update_mec_value: bounds for M by interval VI at
     the current counts. Residual-to-seen-extremes updates are always used
-    here: a sure MEC's support is known with the certified confidence."""
+    here: a sure MEC's support is known on the sure-EC gate's share of δ."""
     return _interval_gain_vi(M, *_mec_rows(M, partial), delta_tp, beta)
 
 

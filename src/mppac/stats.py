@@ -1,6 +1,6 @@
 """Confidence-interval and sample-size mathematics.
 
-Hoeffding widths for transition probabilities, the inconfidence split,
+Hoeffding widths for transition probabilities, the inconfidence ledger,
 sample thresholds for sure end components, and Chernoff bounds for
 exponential rate estimation. Everything here is a pure function of its
 arguments.
@@ -9,6 +9,8 @@ arguments.
 from __future__ import annotations
 
 import math
+
+GATE_SHARE = 0.01  # of delta_mp, for the sure-EC gate's event
 
 
 def tp_inconfidence(delta_mp: float, p_min: float, num_state_actions: int) -> float:
@@ -80,10 +82,11 @@ def rate_samples(alpha_r: float, delta_r: float) -> int:
     return hi
 
 
-def split_mp_inconfidence(delta_mp: float, p_min: float) -> tuple[float, float]:
-    """CTMDP inconfidence split between transition probabilities and rates:
-    delta_mp1 = delta_mp/(p_min+1), delta_mp2 = delta_mp*p_min/(p_min+1).
-
-    This ratio makes the induced per-item delta_tp and delta_r coincide.
-    """
-    return delta_mp / (p_min + 1.0), delta_mp * p_min / (p_min + 1.0)
+def inconfidence_ledger(delta_mp: float, p_min: float, ctmdp: bool) -> tuple[float, float, float]:
+    """delta_mp divided as (widths, gate, rates): GATE_SHARE, or 0 at p_min = 1,
+    for the sure-EC gate (a staying pair's successor is still unseen), and for
+    a CTMDP the rates' share that makes a pair's rate inconfidence equal to a
+    transition's. Each share is a remainder: they sum to delta_mp exactly."""
+    rest = delta_mp if p_min >= 1.0 else delta_mp * (1.0 - GATE_SHARE)
+    widths = rest / (p_min + 1.0) if ctmdp else rest
+    return widths, delta_mp - rest, rest - widths

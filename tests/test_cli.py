@@ -386,6 +386,12 @@ def test_run_one_greybox_mode_uses_greybox_oracle(models_dir):
     assert report.certified_inconfidence == pytest.approx(0.1)
 
 
+def test_run_one_rejects_an_unknown_mode(two_mec):
+    # only argparse guards the CLI's modes; scripts and tests pass strings
+    with pytest.raises(ValueError, match="unknown mode 'grey'"):
+        _run_one(two_mec, "grey", LearnerConfig(), seed=0)
+
+
 def test_run_one_respects_learner_config(models_dir):
     model = load_model(models_dir / "random5.mdp")
     report = _run_one(model, "blackbox", LearnerConfig(timeout_s=0.3, episodes_per_round=100), seed=9)
@@ -414,7 +420,10 @@ def test_script_help_runs_from_a_checkout_without_pythonpath(script, tmp_path):
 def test_trace_diff_finds_a_checkout_identical_to_itself():
     # the golden cases and one draw of each random model kind, with this
     # checkout as both sides; the golden cases also match their records
-    argv = ["scripts/trace_diff.py", "--parent", ".", "--change", ".", "--random", "1", "--epsilon", "0.3", "--json"]
+    argv = [
+        "scripts/trace_diff.py", "--parent", ".", "--change", ".", "--random", "1", "--epsilon", "0.3", "--delta", "0.05",
+        "--json",
+    ]
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)

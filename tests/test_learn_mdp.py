@@ -394,9 +394,9 @@ def test_adopt_drops_overlapping_stale_records():
 
 
 def _sure_cycle_partial(extra=None):
-    # 60 samples per pair clear the sure-EC gate here (51 needed, 55 with the extra pair)
+    # 100 samples per pair clear the sure-EC gate here (94 needed, 98 with the extra pair)
     return frozen_partial(
-        {(1, "a", 2): 60, (2, "b", 1): 60, **(extra or {})},
+        {(1, "a", 2): 100, (2, "b", 1): 100, **(extra or {})},
         rewards={1: 1.0, 2: 0.0},
         p_min=0.1,
     )
@@ -433,7 +433,7 @@ def test_reconcile_keeps_the_stay_of_an_unchanged_mec():
     ids=["states", "actions"],
 )
 def test_reconcile_drops_the_stay_of_a_changed_mec(held):
-    partial = _sure_cycle_partial({(1, "c", 1): 60})
+    partial = _sure_cycle_partial({(1, "c", 1): 100})
     partial.adopt_looping_record(copy.deepcopy(held))
     assert partial.stay_of[1].gain_lower == 0.3
     _reconcile(partial)
@@ -1277,7 +1277,14 @@ def test_a_round_cut_in_its_first_episode_counts_no_episode():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("update_style", GREYBOX), ("precision_mode", "Relative"), ("timeout_s", math.nan), ("episodes_per_round", 2.5)],
+    [
+        ("update_style", GREYBOX),
+        ("precision_mode", "Relative"),
+        ("timeout_s", math.nan),
+        ("episodes_per_round", 2.5),
+        ("seed", -1),
+        ("seed", 1.5),
+    ],
 )
 def test_learner_config_rejects_unknown_settings(field, value):
     # "greybox" is the oracle's information level, not an update style

@@ -40,7 +40,7 @@ def test_test_references_are_not_exported():
     removed = {
         "stay_distribution", "estimate_rate", "rate_interval", "rate_inconfidence_parts", "chernoff_minimizers",
         "boundary_rate_assignment", "StepSample", "find_mec_mp_bounds_heuristic", "WeightedQuotient",
-        "build_weighted_quotient", "update_mec_value_ctmdp",
+        "build_weighted_quotient", "update_mec_value_ctmdp", "split_mp_inconfidence",
     }
     assert not any(hasattr(mppac, name) for name in references | removed)
 

@@ -4,6 +4,7 @@ distributional soundness of the certified intervals."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from mppac import (
     PartialModel,
     ec_required_samples,
     greybox_miss_probability,
+    inconfidence_ledger,
     rate_inconfidence,
     rate_samples,
-    split_mp_inconfidence,
     tp_inconfidence,
     tp_width,
 )
@@ -258,48 +259,49 @@ def test_rate_interval_statistical_soundness(lam):
 
 
 # ---------------------------------------------------------------------------
-# inconfidence budgets
+# the inconfidence ledger
 
 
-def test_split_mp_inconfidence_worked_values():
-    d1, d2 = split_mp_inconfidence(0.1, 0.05)
-    assert d1 == pytest.approx(0.0952381, abs=1e-6)
-    assert d2 == pytest.approx(0.0047619, abs=1e-6)
-    assert split_mp_inconfidence(0.1, 1.0) == pytest.approx((0.05, 0.05))
-
-
-@given(
-    delta=st.floats(min_value=1e-9, max_value=1.0),
-    p_min=st.floats(min_value=1e-6, max_value=1.0),
-)
-def test_split_preserves_total_inconfidence(delta, p_min):
-    d1, d2 = split_mp_inconfidence(delta, p_min)
-    assert d1 + d2 == pytest.approx(delta)
-    assert d1 > 0 and d2 > 0
+def test_inconfidence_ledger_worked_values():
+    # GATE_SHARE of delta goes to the gate, and a CTMDP splits the rest
+    # 1 : p_min between transitions and rates
+    assert inconfidence_ledger(0.1, 0.05, ctmdp=True) == pytest.approx((0.099 / 1.05, 1e-3, 0.099 * 0.05 / 1.05))
+    assert inconfidence_ledger(0.1, 0.25, ctmdp=False) == pytest.approx((0.099, 1e-3, 0.0))
+    # at p_min = 1 one draw shows the only successor, and the gate gets nothing
+    assert inconfidence_ledger(0.1, 1.0, ctmdp=True) == (0.05, 0.0, 0.05)
+    assert inconfidence_ledger(0.1, 1.0, ctmdp=False) == (0.1, 0.0, 0.0)
 
 
 @given(
     delta=st.floats(min_value=1e-9, max_value=1.0),
-    p_min=st.floats(min_value=1e-6, max_value=1.0),
+    p_min=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0)),
     pairs=st.integers(min_value=1, max_value=10**6),
+    ctmdp=st.booleans(),
 )
 @settings(deadline=None)
-def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
-    # the per-pair transition inconfidence equals the rate share spread over
-    # the pairs, and the two shares of delta_mp add back up to it
-    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
+def test_inconfidence_ledger_spends_delta_exactly(delta, p_min, pairs, ctmdp):
+    # the shares are non-negative and sum to delta exactly; a CTMDP's rate
+    # share spread over its pairs is the per-transition inconfidence, and an
+    # MDP spreads its widths' share over the transitions
+    widths, gate, rates = inconfidence_ledger(delta, p_min, ctmdp)
+    assert min(widths, gate, rates) >= 0.0
+    assert Fraction(widths) + Fraction(gate) + Fraction(rates) == Fraction(delta)
+    assert (gate == 0.0) == (p_min == 1.0)
+    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp=ctmdp)
     partial.post = dict.fromkeys(((s, "a") for s in range(pairs)), {})
-    d1, d2 = split_mp_inconfidence(delta, p_min)
-    assert partial.current_delta_tp() == pytest.approx(d2 / pairs, rel=1e-9)
-    assert d1 + d2 == pytest.approx(delta)
+    if ctmdp:
+        assert rates / pairs == pytest.approx(partial.current_delta_tp(), rel=1e-9)
+    else:
+        assert rates == 0.0
+        assert partial.current_delta_tp() == widths * p_min / pairs
 
 
-def test_mdp_budget_spends_everything_on_transitions():
-    # an MDP learner's per-pair delta_tp is delta_mp * p_min / pairs; a
-    # CTMDP learner first gives part of delta_mp to the rates
-    mdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=False)
-    ctmdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
-    for partial in (mdp, ctmdp):
-        partial.post = {(s, "a"): {} for s in range(1000)}
-    assert mdp.current_delta_tp() == pytest.approx(5e-6)
-    assert ctmdp.current_delta_tp() < mdp.current_delta_tp()
+def test_sure_ec_gate_spends_its_own_share(random5):
+    # random5's 7 pairs at delta 0.1: the gate's need is that of its share,
+    # spread over at most 1/p_min successors per pair
+    pairs = [(s, a) for s, labels in enumerate(random5.actions) for a in labels]
+    partial = PartialModel(random5.p_min, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=False)
+    partial.post = {sa: {} for sa in pairs}
+    gate = inconfidence_ledger(0.1, random5.p_min, ctmdp=False)[1]
+    assert (len(pairs), random5.p_min) == (7, 0.25)
+    assert partial.sure_ec_need() == math.ceil(math.log(gate * 0.25 / 7) / math.log(0.75)) == 36
