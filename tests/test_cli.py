@@ -421,8 +421,8 @@ def test_trace_diff_finds_a_checkout_identical_to_itself():
     # the golden cases and one draw of each random model kind, with this
     # checkout as both sides; the golden cases also match their records
     argv = [
-        "scripts/trace_diff.py", "--parent", ".", "--change", ".", "--random", "1", "--epsilon", "0.3", "--delta", "0.05",
-        "--json",
+        "scripts/trace_diff.py", "--parent", ".", "--change", ".", "--random", "1", "--epsilon", "0.3",
+        "--delta", "0.05", "--json",
     ]
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
