@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from mppac import (
     BLACKBOX,
+    BLACKBOX_UPDATES,
     LearnerConfig,
     MecRecord,
+    PartialModel,
     SampleOracle,
     find_mec_mp_bounds_exact,
+    inconfidence_ledger,
     learner_rng,
     on_demand_bvi,
     on_demand_bvi_ctmdp,
@@ -354,6 +357,32 @@ def test_refine_drops_a_record_whose_pair_was_seen_leaving(cycle_rates):
     assert M not in partial.mecs
     assert partial.stay_of.get(0) is None
     assert oracle.steps_sampled == 0
+
+
+def _partial_with_pairs(delta, p_min, pairs, ctmdp):
+    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp)
+    partial.post = {(s, "a"): {s: 1} for s in range(pairs)}
+    return partial
+
+
+@given(
+    delta=st.floats(min_value=1e-9, max_value=1.0),
+    p_min=st.floats(min_value=1e-6, max_value=1.0),
+    pairs=st.integers(min_value=1, max_value=10**4),
+)
+def test_ctmdp_split_keeps_tp_and_rate_inconfidence_equal(delta, p_min, pairs):
+    # the CTMDP budget: delta less the gate's share splits into a transition
+    # and a rate share that induce equal per-pair inconfidences; an MDP spends
+    # all of it on transitions, widths * p_min / pairs each
+    partial = _partial_with_pairs(delta, p_min, pairs, ctmdp=True)
+    _widths, gate, rates = inconfidence_ledger(delta, p_min, ctmdp=True)
+    delta_r = rates / pairs
+    assert partial.current_delta_tp() == pytest.approx(delta_r, rel=1e-9)
+    shares = (partial.current_delta_tp() / p_min + delta_r) * pairs + gate
+    assert shares == pytest.approx(delta, rel=1e-9)
+    mdp = _partial_with_pairs(delta, p_min, pairs, ctmdp=False)
+    widths = inconfidence_ledger(delta, p_min, ctmdp=False)[0]
+    assert mdp.current_delta_tp() == pytest.approx(widths * p_min / pairs, rel=1e-12)
 
 
 def test_on_demand_bvi_ctmdp_rejects_mdp_oracles(two_mec):

@@ -275,25 +275,45 @@ def test_inconfidence_ledger_worked_values():
 @given(
     delta=st.floats(min_value=1e-9, max_value=1.0),
     p_min=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0)),
-    pairs=st.integers(min_value=1, max_value=10**6),
     ctmdp=st.booleans(),
 )
-@settings(deadline=None)
-def test_inconfidence_ledger_spends_delta_exactly(delta, p_min, pairs, ctmdp):
-    # the shares are non-negative and sum to delta exactly; a CTMDP's rate
-    # share spread over its pairs is the per-transition inconfidence, and an
-    # MDP spreads its widths' share over the transitions
+def test_split_preserves_total_inconfidence(delta, p_min, ctmdp):
+    # the shares are non-negative and sum to delta exactly, and the gate's
+    # share is 0 exactly at p_min = 1
     widths, gate, rates = inconfidence_ledger(delta, p_min, ctmdp)
-    assert min(widths, gate, rates) >= 0.0
+    assert min(widths, gate, rates) >= 0.0 and widths > 0.0
     assert Fraction(widths) + Fraction(gate) + Fraction(rates) == Fraction(delta)
     assert (gate == 0.0) == (p_min == 1.0)
-    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp=ctmdp)
+
+
+@given(
+    delta=st.floats(min_value=1e-9, max_value=1.0),
+    p_min=st.floats(min_value=1e-6, max_value=1.0),
+    pairs=st.integers(min_value=1, max_value=10**6),
+)
+@settings(deadline=None)
+def test_ctmdp_budget_balances_tp_and_rate_shares(delta, p_min, pairs):
+    # the per-pair transition inconfidence equals the rate share spread over
+    # the pairs, and the three shares of delta_mp add back up to it
+    partial = PartialModel(p_min, delta, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
     partial.post = dict.fromkeys(((s, "a") for s in range(pairs)), {})
-    if ctmdp:
-        assert rates / pairs == pytest.approx(partial.current_delta_tp(), rel=1e-9)
-    else:
-        assert rates == 0.0
-        assert partial.current_delta_tp() == widths * p_min / pairs
+    widths, gate, rates = inconfidence_ledger(delta, p_min, ctmdp=True)
+    assert partial.current_delta_tp() == pytest.approx(rates / pairs, rel=1e-9)
+    assert widths + gate + rates == pytest.approx(delta)
+
+
+def test_mdp_budget_spends_everything_on_transitions():
+    # an MDP learner gives no share to rates: its per-pair delta_tp is the
+    # widths' share (delta_mp less the gate's) * p_min / pairs; a CTMDP
+    # learner also gives part of delta_mp to the rates
+    mdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=False)
+    ctmdp = PartialModel(0.05, 0.1, BLACKBOX_UPDATES, BLACKBOX, ctmdp=True)
+    for partial in (mdp, ctmdp):
+        partial.post = {(s, "a"): {} for s in range(1000)}
+    widths, _gate, rates = inconfidence_ledger(0.1, 0.05, ctmdp=False)
+    assert rates == 0.0
+    assert mdp.current_delta_tp() == widths * 0.05 / 1000 == pytest.approx(4.95e-6)
+    assert ctmdp.current_delta_tp() < mdp.current_delta_tp()
 
 
 def test_sure_ec_gate_spends_its_own_share(random5):
